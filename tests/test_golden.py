@@ -1,0 +1,121 @@
+"""Seeded outputs pinned bit for bit: kernel batch sums, estimator fields and
+the bytes of ``sweep --simulate`` tables.
+
+The files under ``tests/golden/`` were recorded on x86-64 with Python 3.11 and
+numpy 2.4; other libm or numpy builds may differ in the last bits of a pow or
+exp.  Regenerate them only for an intended output change:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from mg1tail import (
+    ExponentialIntegrated,
+    GeomModel,
+    Lattice,
+    ParetoIntegratedTail,
+    QueueModel,
+    ak_estimate,
+    crude_mc,
+    geom_crude_mc,
+)
+from mg1tail import kernels
+from mg1tail.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+MODELS = {
+    "pareto": ParetoIntegratedTail(alpha=3.5),
+    "exp": ExponentialIntegrated(rate=1.0),
+    "lattice": Lattice(h=0.5, mass=[0.0, 0.25, 0.5, 0.25]),
+}
+
+SWEEPS = {
+    "pareto": ["--dist", "pareto-it:alpha=3.5", "--rho", "0.8",
+               "--x-min", "1", "--x-max", "40"],
+    "exp": ["--dist", "exp:rate=1", "--rho", "0.8",
+            "--x-min", "1", "--x-max", "20"],
+}
+
+
+def kernel_sums():
+    out = {}
+    for name, model in MODELS.items():
+        for rho in (0.6, 0.8):
+            for n_offset in (0, 1):
+                args = (model, rho, 3.25, 4242, 100, 5_000, n_offset)
+                out[f"{name}-rho{rho}-offset{n_offset}"] = {
+                    "ak": [v.hex() for v in kernels.ak_batch(*args)],
+                    "crude": [v.hex() for v in kernels.crude_batch(*args)],
+                }
+    return out
+
+
+def _fields(est):
+    return {
+        "estimate": est.estimate.hex(),
+        "half_width": est.half_width.hex(),
+        "rel_err": est.rel_err.hex(),
+        "n_samples": est.n_samples,
+        "seed": est.seed,
+        "method": est.method.value,
+        "converged": est.converged,
+    }
+
+
+def estimates():
+    pareto = QueueModel(model=MODELS["pareto"], rho=0.8)
+    exp = QueueModel(model=MODELS["exp"], rho=0.5)
+    lattice = QueueModel(model=MODELS["lattice"], rho=0.6)
+    geom = GeomModel(y_model=ParetoIntegratedTail(alpha=4.0), p=0.2)
+    return {
+        "ak-pareto": _fields(ak_estimate(pareto, 10.0, seed=1)),
+        "ak-exp": _fields(ak_estimate(exp, 2.0, seed=7)),
+        "ak-lattice-capped": _fields(
+            ak_estimate(lattice, 1.25, seed=3, max_samples=60_000)),
+        "crude-exp": _fields(crude_mc(exp, 2.0, 100_000, seed=7)),
+        "crude-lattice": _fields(crude_mc(lattice, 1.25, 30_000, seed=3)),
+        "geom-crude": _fields(geom_crude_mc(geom, 12.0, 50_000, seed=5)),
+    }
+
+
+def sweep_bytes(name, fmt, directory):
+    path = pathlib.Path(directory) / f"sweep-{name}.{fmt}"
+    code = main(["sweep", *SWEEPS[name], "--points", "4", "--log-grid",
+                 "--simulate", "--rel-err", "0.1", "--seed", "42",
+                 "--format", fmt, "--out", str(path)])
+    assert code == 0
+    return path.read_bytes()
+
+
+def _load(name):
+    return json.loads((GOLDEN / name).read_text())
+
+
+def test_kernel_sums_match_golden():
+    assert kernel_sums() == _load("kernels.json")
+
+
+def test_estimates_match_golden():
+    assert estimates() == _load("estimates.json")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_bytes_match_golden(name, fmt, tmp_path, capsys):
+    got = sweep_bytes(name, fmt, tmp_path)
+    assert got == (GOLDEN / f"sweep-{name}.{fmt}").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for fname, data in (("kernels.json", kernel_sums()),
+                        ("estimates.json", estimates())):
+        (GOLDEN / fname).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    for name in SWEEPS:
+        for fmt in ("csv", "json"):
+            sweep_bytes(name, fmt, GOLDEN)
