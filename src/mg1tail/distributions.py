@@ -16,6 +16,11 @@ Variants:
 * ``Lattice(h, mass)`` -- probability mass[j] on the point j*h.  Exists so
   convolution oracles and estimator-unbiasedness tests have exactly
   enumerable ground truth.
+
+Each model has vector methods ``quantile``/``tail`` (and ``atom`` on the
+lattice) for the batch kernels; the scalar functions below are kept apart
+because a 0-d numpy call is ~20x slower and numpy's SIMD pow/exp differ from
+libm by 1-2 ulp, which would change the deterministic tables.
 """
 
 from dataclasses import dataclass
@@ -34,6 +39,15 @@ class ParetoIntegratedTail:
         if not self.alpha > 2:
             raise ValueError(f"alpha must exceed 2, got {self.alpha}")
 
+    def quantile(self, u):
+        return (1.0 - u) ** (-1.0 / (self.alpha - 1.0))
+
+    def tail(self, t):
+        out = np.ones_like(t)
+        big = t >= 1.0
+        out[big] = t[big] ** (-(self.alpha - 1.0))
+        return out
+
 
 @dataclass(frozen=True)
 class ExponentialIntegrated:
@@ -42,6 +56,12 @@ class ExponentialIntegrated:
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
+
+    def quantile(self, u):
+        return -np.log1p(-u) / self.rate
+
+    def tail(self, t):
+        return np.exp(-self.rate * t)
 
 
 class Lattice:
@@ -63,8 +83,23 @@ class Lattice:
         # suffix[j] = P(X >= j*h); one extra 0 so suffix[len] is valid
         self.suffix = np.concatenate([np.cumsum(m[::-1])[::-1], [0.0]])
         self.suffix.setflags(write=False)
+        self.cum = 1.0 - self.suffix[1:]  # cum[j] = P(X <= j*h)
+        self.cum.setflags(write=False)
         self.support = np.arange(m.size) * self.h
         self.support.setflags(write=False)
+
+    def quantile(self, u):
+        idx = np.searchsorted(self.cum, u, side="right")
+        np.minimum(idx, self.support.size - 1, out=idx)
+        return self.support[idx]
+
+    def tail(self, t):
+        return self.suffix[np.searchsorted(self.support, t, side="right")]
+
+    def atom(self, v):
+        idx = np.searchsorted(self.support, v, side="right") - 1
+        np.clip(idx, 0, self.support.size - 1, out=idx)
+        return np.where(self.support[idx] == v, self.mass[idx], 0.0)
 
     def __repr__(self):
         return f"Lattice(h={self.h}, points={self.mass.size})"
@@ -159,8 +194,7 @@ def sample_x(model: IntegratedTailModel, u: float) -> float:
         return (1.0 - u) ** (-1.0 / (model.alpha - 1.0))
     if isinstance(model, ExponentialIntegrated):
         return -math.log1p(-u) / model.rate
-    cum = 1.0 - model.suffix[1:]  # cum[j] = P(X <= j*h)
-    idx = int(np.searchsorted(cum, u, side="right"))
+    idx = int(np.searchsorted(model.cum, u, side="right"))
     idx = min(idx, model.mass.size - 1)
     return float(model.support[idx])
 

@@ -1,13 +1,8 @@
-"""Hot Monte Carlo kernels with two interchangeable backends.
+"""Hot Monte Carlo kernels, vectorized with numpy over whole batches.
 
-The compiled backend wraps the replication loops in numba's ``@njit``; the
-fallback expresses the same computation with vectorized numpy.  Both consume
-the counter-based substreams from :mod:`.rng`, so each backend is bit-exactly
-reproducible for a fixed seed, and the two backends agree to floating-point
-reduction-order differences (~1e-12 relative on estimates).
-
-Backend selection: env var MG1_BACKEND (``numba`` or ``numpy``) read at import,
-overridable at runtime with :func:`set_backend`.
+The kernels consume the counter-based substreams from :mod:`.rng` and the
+model's vector methods (``quantile``, ``tail``, ``atom``), so every batch is
+bit-exactly reproducible for a fixed seed.
 
 Kernel contract per replication ``rep``:
 
@@ -17,76 +12,19 @@ Kernel contract per replication ``rep``:
 * the conditional estimator contributes
   N * [ P(X > max(M, x-S)) + 1{S+M > x} * P(X = M)/(T+1) ]
   with M, S, T the max, sum, and max-multiplicity of the first N-1 draws;
-  the atom term is exactly zero for atomless models, recovering the plain
-  conditional estimator.
+  the atom term is exactly zero for atomless models, so only lattice models
+  compute it.
 """
 
 import math
-import os
 
 import numpy as np
 
 from . import rng
-from .distributions import (
-    ExponentialIntegrated,
-    Lattice,
-    ParetoIntegratedTail,
-)
-
-_EMPTY = np.empty(0, dtype=np.float64)
-
-KIND_PARETO = 0
-KIND_EXP = 1
-KIND_LATTICE = 2
+from .distributions import Lattice
 
 
-def pack_model(model):
-    """Flatten a model into (kind, param, support, cum, mass, suffix) for the
-    kernels."""
-    if isinstance(model, ParetoIntegratedTail):
-        return KIND_PARETO, model.alpha, _EMPTY, _EMPTY, _EMPTY, _EMPTY
-    if isinstance(model, ExponentialIntegrated):
-        return KIND_EXP, model.rate, _EMPTY, _EMPTY, _EMPTY, _EMPTY
-    if isinstance(model, Lattice):
-        cum = 1.0 - model.suffix[1:]
-        return KIND_LATTICE, model.h, model.support, cum, model.mass, model.suffix
-    raise TypeError(f"unknown model {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-
-
-def _quantile_np(kind, param, support, cum, u):
-    if kind == KIND_PARETO:
-        return (1.0 - u) ** (-1.0 / (param - 1.0))
-    if kind == KIND_EXP:
-        return -np.log1p(-u) / param
-    idx = np.searchsorted(cum, u, side="right")
-    np.minimum(idx, support.size - 1, out=idx)
-    return support[idx]
-
-
-def _tail_np(kind, param, support, suffix, t):
-    if kind == KIND_PARETO:
-        out = np.ones_like(t)
-        big = t >= 1.0
-        out[big] = t[big] ** (-(param - 1.0))
-        return out
-    if kind == KIND_EXP:
-        return np.exp(-param * t)
-    idx = np.searchsorted(support, t, side="right")
-    return suffix[idx]
-
-
-def _atom_np(support, mass, v):
-    idx = np.searchsorted(support, v, side="right") - 1
-    np.clip(idx, 0, support.size - 1, out=idx)
-    out = np.where(support[idx] == v, mass[idx], 0.0)
-    return out
-
-
-def _counts_np(rho, seed, rep0, nreps, n_offset):
+def _counts(rho, seed, rep0, nreps, n_offset):
     reps = (np.uint64(rep0) + np.arange(nreps, dtype=np.uint64))
     states = rng.substream_states_np(int(seed), reps)
     u0 = rng.uniforms_np(states, np.zeros(nreps, dtype=np.uint64))
@@ -94,255 +32,37 @@ def _counts_np(rho, seed, rep0, nreps, n_offset):
     return states, n
 
 
-def _draws_np(states, counts, kind, param, support, cum):
+def _draws(model, states, counts):
     """All summand draws, flattened, plus the replication index per draw."""
     total = int(counts.sum())
     rep_idx = np.repeat(np.arange(counts.size), counts)
     seg_start = np.cumsum(counts) - counts
     j = np.arange(total, dtype=np.int64) - seg_start[rep_idx] + 1
     us = rng.uniforms_np(states[rep_idx], j.astype(np.uint64))
-    xs = _quantile_np(kind, param, support, cum, us)
-    return rep_idx, xs
-
-
-def ak_batch_numpy(kind, param, support, cum, mass, suffix,
-                   rho, x, seed, rep0, nreps, n_offset=0):
-    states, n = _counts_np(rho, seed, rep0, nreps, n_offset)
-    k = np.maximum(n - 1, 0)
-    rep_idx, xs = _draws_np(states, k, kind, param, support, cum)
-    s = np.bincount(rep_idx, weights=xs, minlength=nreps)
-    m = np.zeros(nreps)
-    np.maximum.at(m, rep_idx, xs)
-    t = np.maximum(m, x - s)
-    v = np.where(n >= 1, n * _tail_np(kind, param, support, suffix, t), 0.0)
-    if kind == KIND_LATTICE:
-        ties = np.bincount(rep_idx, weights=(xs == m[rep_idx]), minlength=nreps)
-        extra = n * _atom_np(support, mass, m) / (ties + 1.0)
-        v = v + np.where((n >= 1) & (s + m > x), extra, 0.0)
-    return float(v.sum()), float((v * v).sum())
-
-
-def crude_batch_numpy(kind, param, support, cum, mass, suffix,
-                      rho, x, seed, rep0, nreps, n_offset=0):
-    states, n = _counts_np(rho, seed, rep0, nreps, n_offset)
-    k = np.maximum(n, 0)
-    rep_idx, xs = _draws_np(states, k, kind, param, support, cum)
-    w = np.bincount(rep_idx, weights=xs, minlength=nreps)
-    hits = float(np.count_nonzero(w > x))
-    return hits, hits
-
-
-def sample_batch_numpy(kind, param, support, cum, mass, suffix,
-                       rho, seed, rep0, nreps, n_offset=0):
-    """Raw compound-geometric draws (used by distribution-level sanity tests)."""
-    states, n = _counts_np(rho, seed, rep0, nreps, n_offset)
-    k = np.maximum(n, 0)
-    rep_idx, xs = _draws_np(states, k, kind, param, support, cum)
-    return np.bincount(rep_idx, weights=xs, minlength=nreps)
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-    _GOLD = np.uint64(rng.GOLD)
-    _M1 = np.uint64(0xBF58476D1CE4E5B9)
-    _M2 = np.uint64(0x94D049BB133111EB)
-
-    @njit(cache=True, inline="always")
-    def _fin(z):
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
-
-    @njit(cache=True, inline="always")
-    def _to_unit(z):
-        return ((z >> np.uint64(11)) + np.uint64(0)) * 2.0**-53 + 0.5 * 2.0**-53
-
-    @njit(cache=True, inline="always")
-    def _bisect_right(arr, v):
-        lo = 0
-        hi = arr.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if arr[mid] <= v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    @njit(cache=True, inline="always")
-    def _quantile_nb(kind, param, support, cum, u):
-        if kind == KIND_PARETO:
-            return (1.0 - u) ** (-1.0 / (param - 1.0))
-        if kind == KIND_EXP:
-            return -math.log1p(-u) / param
-        idx = _bisect_right(cum, u)
-        if idx > support.size - 1:
-            idx = support.size - 1
-        return support[idx]
-
-    @njit(cache=True, inline="always")
-    def _tail_nb(kind, param, support, suffix, t):
-        if kind == KIND_PARETO:
-            if t < 1.0:
-                return 1.0
-            return t ** (-(param - 1.0))
-        if kind == KIND_EXP:
-            return math.exp(-param * t)
-        return suffix[_bisect_right(support, t)]
-
-    @njit(cache=True, inline="always")
-    def _atom_nb(support, mass, v):
-        idx = _bisect_right(support, v) - 1
-        if idx < 0:
-            idx = 0
-        if support[idx] == v:
-            return mass[idx]
-        return 0.0
-
-    @njit(cache=True)
-    def _ak_batch_nb(kind, param, support, cum, mass, suffix,
-                     rho, x, seed, rep0, nreps, n_offset):
-        log_rho = math.log(rho)
-        s1 = 0.0
-        s2 = 0.0
-        for r in range(nreps):
-            state = _fin(np.uint64(seed) + np.uint64(rep0 + r) * _GOLD)
-            state = state + _GOLD
-            u0 = _to_unit(_fin(state))
-            n = int(math.floor(math.log(u0) / log_rho)) + n_offset
-            if n < 1:
-                continue
-            m = 0.0
-            s = 0.0
-            ties = 0
-            for _ in range(n - 1):
-                state = state + _GOLD
-                u = _to_unit(_fin(state))
-                xv = _quantile_nb(kind, param, support, cum, u)
-                s += xv
-                if xv > m:
-                    m = xv
-                    ties = 1
-                elif xv == m:
-                    ties += 1
-            t = m
-            if x - s > t:
-                t = x - s
-            v = n * _tail_nb(kind, param, support, suffix, t)
-            if kind == KIND_LATTICE and s + m > x:
-                v += n * _atom_nb(support, mass, m) / (ties + 1.0)
-            s1 += v
-            s2 += v * v
-        return s1, s2
-
-    @njit(cache=True)
-    def _crude_batch_nb(kind, param, support, cum, mass, suffix,
-                        rho, x, seed, rep0, nreps, n_offset):
-        log_rho = math.log(rho)
-        hits = 0.0
-        for r in range(nreps):
-            state = _fin(np.uint64(seed) + np.uint64(rep0 + r) * _GOLD)
-            state = state + _GOLD
-            u0 = _to_unit(_fin(state))
-            n = int(math.floor(math.log(u0) / log_rho)) + n_offset
-            w = 0.0
-            for _ in range(n):
-                state = state + _GOLD
-                u = _to_unit(_fin(state))
-                w += _quantile_nb(kind, param, support, cum, u)
-            if w > x:
-                hits += 1.0
-        return hits, hits
-
-    @njit(cache=True)
-    def _sample_batch_nb(kind, param, support, cum, mass, suffix,
-                         rho, seed, rep0, nreps, n_offset):
-        log_rho = math.log(rho)
-        out = np.empty(nreps)
-        for r in range(nreps):
-            state = _fin(np.uint64(seed) + np.uint64(rep0 + r) * _GOLD)
-            state = state + _GOLD
-            u0 = _to_unit(_fin(state))
-            n = int(math.floor(math.log(u0) / log_rho)) + n_offset
-            w = 0.0
-            for _ in range(n):
-                state = state + _GOLD
-                u = _to_unit(_fin(state))
-                w += _quantile_nb(kind, param, support, cum, u)
-            out[r] = w
-        return out
-
-    def ak_batch_numba(kind, param, support, cum, mass, suffix,
-                       rho, x, seed, rep0, nreps, n_offset=0):
-        seed_u = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-        return _ak_batch_nb(kind, param, support, cum, mass, suffix,
-                            float(rho), float(x), seed_u,
-                            int(rep0), int(nreps), int(n_offset))
-
-    def crude_batch_numba(kind, param, support, cum, mass, suffix,
-                          rho, x, seed, rep0, nreps, n_offset=0):
-        seed_u = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-        return _crude_batch_nb(kind, param, support, cum, mass, suffix,
-                               float(rho), float(x), seed_u,
-                               int(rep0), int(nreps), int(n_offset))
-
-    def sample_batch_numba(kind, param, support, cum, mass, suffix,
-                           rho, seed, rep0, nreps, n_offset=0):
-        seed_u = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-        return _sample_batch_nb(kind, param, support, cum, mass, suffix,
-                                float(rho), seed_u,
-                                int(rep0), int(nreps), int(n_offset))
-
-
-_BACKENDS = {"numpy": (ak_batch_numpy, crude_batch_numpy, sample_batch_numpy)}
-if _HAVE_NUMBA:
-    _BACKENDS["numba"] = (ak_batch_numba, crude_batch_numba, sample_batch_numba)
-
-_backend = os.environ.get("MG1_BACKEND", "numba" if _HAVE_NUMBA else "numpy")
-if _backend not in _BACKENDS:
-    raise RuntimeError(
-        f"MG1_BACKEND={_backend!r} not available; choices: {sorted(_BACKENDS)}"
-    )
-
-
-def available_backends():
-    return sorted(_BACKENDS)
-
-
-def get_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str):
-    global _backend
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choices: {sorted(_BACKENDS)}")
-    _backend = name
+    return rep_idx, model.quantile(us)
 
 
 def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
     """Sum and sum-of-squares of conditional-estimator contributions for
     replications rep0..rep0+nreps-1."""
-    fn = _BACKENDS[_backend][0]
-    return fn(*pack_model(model), rho, x, seed, rep0, nreps, n_offset)
+    states, n = _counts(rho, seed, rep0, nreps, n_offset)
+    rep_idx, xs = _draws(model, states, np.maximum(n - 1, 0))
+    s = np.bincount(rep_idx, weights=xs, minlength=nreps)
+    m = np.zeros(nreps)
+    np.maximum.at(m, rep_idx, xs)
+    t = np.maximum(m, x - s)
+    v = np.where(n >= 1, n * model.tail(t), 0.0)
+    if isinstance(model, Lattice):
+        ties = np.bincount(rep_idx, weights=(xs == m[rep_idx]), minlength=nreps)
+        extra = n * model.atom(m) / (ties + 1.0)
+        v = v + np.where((n >= 1) & (s + m > x), extra, 0.0)
+    return float(v.sum()), float((v * v).sum())
 
 
 def crude_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
     """Count of compound-geometric samples exceeding x in the batch."""
-    fn = _BACKENDS[_backend][1]
-    return fn(*pack_model(model), rho, x, seed, rep0, nreps, n_offset)
-
-
-def sample_batch(model, rho, seed, rep0, nreps, n_offset=0):
-    """Raw compound-geometric draws for the batch."""
-    fn = _BACKENDS[_backend][2]
-    return fn(*pack_model(model), rho, seed, rep0, nreps, n_offset)
+    states, n = _counts(rho, seed, rep0, nreps, n_offset)
+    rep_idx, xs = _draws(model, states, np.maximum(n, 0))
+    w = np.bincount(rep_idx, weights=xs, minlength=nreps)
+    hits = float(np.count_nonzero(w > x))
+    return hits, hits

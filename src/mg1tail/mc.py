@@ -35,12 +35,10 @@ from .distributions import (
     IntegratedTailModel,
     Lattice,
     QueueModel,
-    sample_x,
     tail_prob,
 )
 from .errors import ResourceBudgetError
 from .geom import GeomModel
-from .rng import Stream
 
 BATCH_SIZE = 10_000
 MIN_SAMPLES_BEFORE_CHECK = 100_000
@@ -215,22 +213,24 @@ def pk_truncated(q: QueueModel, x, tol: float = 1e-10, h: float = 0.05) -> PkExa
     )
 
 
-def compound_geometric_sample(q: QueueModel, stream: Stream) -> float:
-    """One exact draw of W from its compound-geometric representation."""
-    u0 = stream.next_uniform()
-    n = int(math.floor(math.log(u0) / math.log(q.rho)))
-    total = 0.0
-    for _ in range(n):
-        total += sample_x(q.model, stream.next_uniform())
-    return total
-
-
-def _batched(total: int):
-    done = 0
-    while done < total:
-        nb = min(BATCH_SIZE, total - done)
-        yield done, nb
-        done += nb
+def _crude(model, rho, x, n_samples, seed, n_offset) -> SimulationEstimate:
+    hits = 0.0
+    for rep0 in range(0, n_samples, BATCH_SIZE):
+        nb = min(BATCH_SIZE, n_samples - rep0)
+        b1, _ = kernels.crude_batch(model, rho, x, seed, rep0, nb, n_offset)
+        hits += b1
+    est = hits / n_samples
+    var = est * (1.0 - est)
+    half = _z_value(0.99) * math.sqrt(var / n_samples)
+    rel = half / est if est > 0 else math.inf
+    return SimulationEstimate(
+        estimate=est,
+        half_width=half,
+        rel_err=rel,
+        n_samples=n_samples,
+        seed=seed,
+        method=Method.CRUDE,
+    )
 
 
 def crude_mc(q: QueueModel, x, n_samples: int, seed: int = 0) -> SimulationEstimate:
@@ -238,22 +238,7 @@ def crude_mc(q: QueueModel, x, n_samples: int, seed: int = 0) -> SimulationEstim
         raise ValueError(f"need at least 100 samples, got {n_samples}")
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    hits = 0.0
-    for rep0, nb in _batched(n_samples):
-        b1, _ = kernels.crude_batch(q.model, q.rho, x, seed, rep0, nb)
-        hits += b1
-    est = hits / n_samples
-    var = est * (1.0 - est)
-    half = _z_value(0.99) * math.sqrt(var / n_samples)
-    rel = half / est if est > 0 else math.inf
-    return SimulationEstimate(
-        estimate=est,
-        half_width=half,
-        rel_err=rel,
-        n_samples=n_samples,
-        seed=seed,
-        method=Method.CRUDE,
-    )
+    return _crude(q.model, q.rho, x, n_samples, seed, 0)
 
 
 def geom_crude_mc(g: GeomModel, x, n_samples: int, seed: int = 0) -> SimulationEstimate:
@@ -261,24 +246,7 @@ def geom_crude_mc(g: GeomModel, x, n_samples: int, seed: int = 0) -> SimulationE
     the queue-side estimator, count offset by one)."""
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
-    hits = 0.0
-    for rep0, nb in _batched(n_samples):
-        b1, _ = kernels.crude_batch(
-            g.y_model, 1.0 - g.p, x, seed, rep0, nb, n_offset=1
-        )
-        hits += b1
-    est = hits / n_samples
-    var = est * (1.0 - est)
-    half = _z_value(0.99) * math.sqrt(var / n_samples)
-    rel = half / est if est > 0 else math.inf
-    return SimulationEstimate(
-        estimate=est,
-        half_width=half,
-        rel_err=rel,
-        n_samples=n_samples,
-        seed=seed,
-        method=Method.CRUDE,
-    )
+    return _crude(g.y_model, 1.0 - g.p, x, n_samples, seed, 1)
 
 
 def ak_estimate(
@@ -297,6 +265,8 @@ def ak_estimate(
         raise ValueError(f"x must be nonnegative, got {x}")
     if not target_rel_err > 0:
         raise ValueError(f"target_rel_err must be positive, got {target_rel_err}")
+    if max_samples < 2:
+        raise ValueError(f"max_samples must be at least 2, got {max_samples}")
     z = _z_value(confidence)
     s1 = 0.0
     s2 = 0.0

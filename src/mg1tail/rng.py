@@ -1,54 +1,21 @@
-"""Counter-based pseudo-random streams.
+"""Counter-based pseudo-random streams (SplitMix64 finalizer, vectorized).
 
 One substream per replication: replication ``rep`` of a run seeded with
 ``seed`` has initial state ``mix64(seed + rep*GOLD)`` and its j-th uniform is
-``finalize(state0 + (j+1)*GOLD)`` mapped to (0, 1).  Because every draw is a
-pure function of (seed, rep, j), batch partitioning never changes any
-replication's draws, and the numpy and jit execution paths produce identical
-bit patterns.
+``mix64(state0 + (j+1)*GOLD)`` mapped to (0, 1).  Because every draw is a pure
+function of (seed, rep, j), batch partitioning never changes any
+replication's draws.
 """
 
 import numpy as np
 
-GOLD = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
 # (u >> 11) has 53 significant bits; +0.5 keeps the result strictly inside (0,1)
 _INV53 = 2.0 ** -53
 
-GOLD_U64 = np.uint64(GOLD)
+GOLD_U64 = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-
-
-def mix64(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
-def substream_state(seed: int, rep: int) -> int:
-    return mix64((seed + rep * GOLD) & _MASK)
-
-
-def uniform_at(seed: int, rep: int, j: int) -> float:
-    """The j-th uniform (j >= 0) of replication rep, in (0, 1)."""
-    z = mix64((substream_state(seed, rep) + (j + 1) * GOLD) & _MASK)
-    return ((z >> 11) + 0.5) * _INV53
-
-
-class Stream:
-    """Sequential view of one replication substream."""
-
-    def __init__(self, seed: int, rep: int = 0):
-        self.seed = seed
-        self.rep = rep
-        self._j = 0
-
-    def next_uniform(self) -> float:
-        u = uniform_at(self.seed, self.rep, self._j)
-        self._j += 1
-        return u
 
 
 def mix64_np(z: np.ndarray) -> np.ndarray:

@@ -80,6 +80,10 @@ def test_exit_code_usage(capsys):
                   "--rho", "0.8", "--x", "1", "--method", "ht")
     assert code == 2
     assert main(["approx", "--method", "bogus"]) == 2
+    for cmd in ("simulate", "compare"):
+        code, _ = run(capsys, cmd, "--dist", "exp:rate=1", "--rho", "0.5",
+                      "--x", "2", "--max-samples", "0")
+        assert code == 2
     assert main(["no-such-command"]) == 2
 
 

@@ -12,7 +12,6 @@ from mg1tail import (
     QueueModel,
     ResourceBudgetError,
     ak_estimate,
-    compound_geometric_sample,
     convolve_tail,
     convolve_tail_grid,
     crude_mc,
@@ -21,7 +20,6 @@ from mg1tail import (
     pk_truncated,
     tail_prob,
 )
-from mg1tail.rng import Stream
 
 TWO_POINT = Lattice(h=1.0, mass=[0.0, 0.5, 0.5])
 
@@ -169,16 +167,6 @@ def test_ak_stop_rule():
     assert capped.n_samples == 60_000
 
 
-def test_compound_geometric_sample_mean():
-    q = QueueModel(model=ExponentialIntegrated(rate=1.0), rho=0.5)
-    total = 0.0
-    n = 40_000
-    for rep in range(n):
-        total += compound_geometric_sample(q, Stream(seed=77, rep=rep))
-    # E W = rho/(1-rho) mu = 1; sd of the mean ~ sqrt(3/n)
-    assert abs(total / n - 1.0) < 5.0 * math.sqrt(3.0 / n)
-
-
 def test_geom_crude_mc_matches_conditioned_queue():
     # the geometric sum with count >= 1 is the queue sum given N >= 1:
     # P(Z > x) = P(W > x) / (1 - p) for x >= 0
@@ -197,6 +185,9 @@ def test_input_validation():
         crude_mc(q, 1.0, 50)
     with pytest.raises(ValueError):
         ak_estimate(q, -1.0)
+    for too_few in (0, 1):
+        with pytest.raises(ValueError):
+            ak_estimate(q, 1.0, max_samples=too_few)
     with pytest.raises(ValueError):
         pk_truncated(q, -1.0)
     with pytest.raises(ValueError):
