@@ -1,5 +1,5 @@
-"""Seeded outputs pinned bit for bit: kernel batch sums, estimator fields and
-the bytes of ``sweep --simulate`` tables.
+"""Seeded outputs pinned bit for bit: kernel batch sums, estimator fields, the
+quadrature form ``t_tail_z`` and the bytes of ``sweep --simulate`` tables.
 
 The files under ``tests/golden/`` were recorded on x86-64 with Python 3.11 and
 numpy 2.4; other libm or numpy builds may differ in the last bits of a pow or
@@ -11,6 +11,7 @@ exp.  Regenerate them only for an intended output change:
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from mg1tail import (
@@ -22,6 +23,7 @@ from mg1tail import (
     ak_estimate,
     crude_mc,
     geom_crude_mc,
+    t_tail_z,
 )
 from mg1tail import kernels
 from mg1tail.cli import main
@@ -83,6 +85,24 @@ def estimates():
     }
 
 
+def t_tail_z_values():
+    """The criterion-6 grid, x=0, points where half and all of the nodes
+    underflow past the -745 clamp, and an exponential-service point."""
+    pareto = ParetoIntegratedTail(alpha=3.5)
+    out = {}
+    for rho in (0.5, 0.8, 0.95):
+        q = QueueModel(model=pareto, rho=rho)
+        for i, x in enumerate(np.geomspace(0.5, 100.0, 20)):
+            out[f"crit6-rho{rho}-i{i:02d}"] = t_tail_z(q, float(x)).hex()
+    out["x0-rho0.8"] = t_tail_z(QueueModel(model=pareto, rho=0.8), 0.0).hex()
+    half = QueueModel(model=pareto, rho=0.5)
+    out["clamp-half-rho0.5-x1790"] = t_tail_z(half, 1790.0).hex()
+    out["clamp-rho0.5-x1e4"] = t_tail_z(half, 1e4).hex()
+    exp = QueueModel(model=MODELS["exp"], rho=0.8)
+    out["exp-rho0.8-x3"] = t_tail_z(exp, 3.0).hex()
+    return out
+
+
 def sweep_bytes(name, fmt, directory):
     path = pathlib.Path(directory) / f"sweep-{name}.{fmt}"
     code = main(["sweep", *SWEEPS[name], "--points", "4", "--log-grid",
@@ -104,6 +124,10 @@ def test_estimates_match_golden():
     assert estimates() == _load("estimates.json")
 
 
+def test_t_tail_z_matches_golden():
+    assert t_tail_z_values() == _load("t_tail_z.json")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_bytes_match_golden(name, fmt, tmp_path, capsys):
@@ -114,7 +138,8 @@ def test_sweep_bytes_match_golden(name, fmt, tmp_path, capsys):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for fname, data in (("kernels.json", kernel_sums()),
-                        ("estimates.json", estimates())):
+                        ("estimates.json", estimates()),
+                        ("t_tail_z.json", t_tail_z_values())):
         (GOLDEN / fname).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     for name in SWEEPS:
         for fmt in ("csv", "json"):
