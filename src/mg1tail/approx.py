@@ -19,6 +19,7 @@ integrated-tail law X has mean mu and tail F̄.  The approximations here:
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -105,6 +106,8 @@ def s_sum(q: QueueModel, x) -> float:
 
 
 def geometric_term(q: QueueModel, x) -> float:
+    if x < 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
     mu = mean_integrated(q.model)
     return q.rho ** (x / mu)
 
@@ -174,6 +177,16 @@ def t_tail(q: QueueModel, x, _tol=_SERIES_TOL) -> float:
 _QUAD_NODES = 2_000_001
 
 
+@functools.cache
+def _quad_nodes() -> np.ndarray:
+    """The quadrature nodes z_i in increasing order, built on first use and
+    shared read-only by every call."""
+    z = ndtri((np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES)
+    z = z[np.abs(z) <= 10.0]
+    z.flags.writeable = False
+    return z
+
+
 def t_tail_z(q: QueueModel, x) -> float:
     """Normal-expectation form E[rho^{floor(t(Z)^2)+1}] with
     t(z) = sqrt(x/mu + (sigma z/(2 mu))^2) - sigma z/(2 mu); equals the series
@@ -184,15 +197,20 @@ def t_tail_z(q: QueueModel, x) -> float:
     sigma = _sigma(q)
     mu = mean_integrated(q.model)
     rho = q.rho
-    u = (np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES
-    z = ndtri(u)
-    z = z[np.abs(z) <= 10.0]
+    z = _quad_nodes()
     a = sigma / (2.0 * mu)
     t = np.sqrt(x / mu + (a * z) ** 2) - a * z
     expo = np.floor(t * t) + 1.0
+    # expo is piecewise constant along the sorted nodes, so exp runs once per
+    # run of equal exponents (monotonicity is not assumed: a rounding wiggle
+    # only adds a run).  The values are expanded back to one per node because
+    # numpy's pairwise summation order depends on the array length.
+    starts = np.concatenate(([0], np.flatnonzero(expo[1:] != expo[:-1]) + 1))
+    run_expo = expo[starts]
     log_rho = math.log(rho)
-    vals = np.exp(np.maximum(expo * log_rho, -745.0))
-    vals[expo * log_rho < -745.0] = 0.0
+    vals = np.exp(np.maximum(run_expo * log_rho, -745.0))
+    vals[run_expo * log_rho < -745.0] = 0.0
+    vals = np.repeat(vals, np.diff(starts, append=expo.size))
     return float(vals.sum() / _QUAD_NODES)
 
 

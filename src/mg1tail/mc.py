@@ -246,6 +246,8 @@ def geom_crude_mc(g: GeomModel, x, n_samples: int, seed: int = 0) -> SimulationE
     the queue-side estimator, count offset by one)."""
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
+    if x < 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
     return _crude(g.y_model, 1.0 - g.p, x, n_samples, seed, 1)
 
 

@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtri
 
 from mg1tail import (
     ExponentialIntegrated,
@@ -24,6 +28,8 @@ from mg1tail import (
     tail_prob,
     threshold_x,
 )
+from mg1tail.approx import _QUAD_NODES, _quad_nodes, _sigma
+from mg1tail.distributions import mean_integrated
 
 Q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
 
@@ -124,6 +130,52 @@ def test_t_dual_forms_agree():
             assert abs(t_tail(q, x) - t_tail_z(q, x)) <= 1e-6
 
 
+def _t_tail_z_per_node(q, x):
+    """Reference: t_tail_z node by node, building the nodes and running exp
+    on each of them in every call."""
+    if x < 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
+    sigma = _sigma(q)
+    mu = mean_integrated(q.model)
+    rho = q.rho
+    u = (np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES
+    z = ndtri(u)
+    z = z[np.abs(z) <= 10.0]
+    a = sigma / (2.0 * mu)
+    t = np.sqrt(x / mu + (a * z) ** 2) - a * z
+    expo = np.floor(t * t) + 1.0
+    log_rho = math.log(rho)
+    vals = np.exp(np.maximum(expo * log_rho, -745.0))
+    vals[expo * log_rho < -745.0] = 0.0
+    return float(vals.sum() / _QUAD_NODES)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model=st.one_of(st.floats(3.05, 8.0).map(ParetoIntegratedTail),
+                    st.floats(0.1, 10.0).map(ExponentialIntegrated)),
+    rho=st.floats(0.01, 0.9999),
+    x=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+)
+# a subnormal result, where a change to the -745 clamp shows in the bits
+@example(model=ParetoIntegratedTail(3.5), rho=0.5, x=1960.0)
+def test_t_tail_z_bit_identical_to_per_node_form(model, rho, x):
+    q = QueueModel(model=model, rho=rho)
+    assert t_tail_z(q, x) == _t_tail_z_per_node(q, x)
+
+
+def test_quad_nodes_cached_read_only():
+    z = _quad_nodes()
+    assert z is _quad_nodes()
+    assert not z.flags.writeable
+    # built on first use, not when the package is imported
+    probe = ("import mg1tail.approx as a; "
+             "print(a._quad_nodes.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
 def test_h_clt_decomposition():
     x = 7.0
     assert math.isclose(h_clt(Q, x), s_sum(Q, x) + t_tail(Q, x), rel_tol=1e-14)
@@ -172,6 +224,7 @@ def test_exponential_model_supported():
 
 
 def test_negative_x_rejected():
-    for fn in (heavy_traffic, heavy_tail, h_approx, j_approx, gamma_factor, t_tail):
+    for fn in (heavy_traffic, heavy_tail, h_approx, j_approx, gamma_factor,
+               geometric_term, t_tail, t_tail_z):
         with pytest.raises(ValueError):
             fn(Q, -1.0)

@@ -185,6 +185,8 @@ def test_input_validation():
         crude_mc(q, 1.0, 50)
     with pytest.raises(ValueError):
         ak_estimate(q, -1.0)
+    with pytest.raises(ValueError):
+        geom_crude_mc(GeomModel(ParetoIntegratedTail(4.0), 0.2), -5.0, 100, seed=1)
     for too_few in (0, 1):
         with pytest.raises(ValueError):
             ak_estimate(q, 1.0, max_samples=too_few)
