@@ -175,6 +175,8 @@ def t_tail(q: QueueModel, x, _tol=_SERIES_TOL) -> float:
 # midpoint rule in the probability domain: u_i = (i+0.5)/K, z_i = Phi^{-1}(u_i),
 # nodes with |z| > 10 dropped (their total mass is below 1e-23)
 _QUAD_NODES = 2_000_001
+# nodes per chunk when t_tail_z finds its exponents
+_QUAD_CHUNK = 1 << 16
 
 
 @functools.cache
@@ -199,18 +201,27 @@ def t_tail_z(q: QueueModel, x) -> float:
     rho = q.rho
     z = _quad_nodes()
     a = sigma / (2.0 * mu)
-    t = np.sqrt(x / mu + (a * z) ** 2) - a * z
-    expo = np.floor(t * t) + 1.0
     # expo is piecewise constant along the sorted nodes, so exp runs once per
     # run of equal exponents (monotonicity is not assumed: a rounding wiggle
-    # only adds a run).  The values are expanded back to one per node because
-    # numpy's pairwise summation order depends on the array length.
-    starts = np.concatenate(([0], np.flatnonzero(expo[1:] != expo[:-1]) + 1))
-    run_expo = expo[starts]
+    # only adds a run).  The exponents are found chunk by chunk, so that the
+    # only node-sized temporary is the one the sum needs; a run cut at a chunk
+    # edge expands to the same values.
+    starts, run_expo = [], []
+    for lo in range(0, z.size, _QUAD_CHUNK):
+        zc = z[lo:lo + _QUAD_CHUNK]
+        t = np.sqrt(x / mu + (a * zc) ** 2) - a * zc
+        expo = np.floor(t * t) + 1.0
+        first = np.concatenate(([0], np.flatnonzero(expo[1:] != expo[:-1]) + 1))
+        starts.append(first + lo)
+        run_expo.append(expo[first])
+    starts = np.concatenate(starts)
+    run_expo = np.concatenate(run_expo)
     log_rho = math.log(rho)
     vals = np.exp(np.maximum(run_expo * log_rho, -745.0))
     vals[run_expo * log_rho < -745.0] = 0.0
-    vals = np.repeat(vals, np.diff(starts, append=expo.size))
+    # one value per node again: numpy's pairwise summation order depends on
+    # the array length
+    vals = np.repeat(vals, np.diff(starts, append=z.size))
     return float(vals.sum() / _QUAD_NODES)
 
 
