@@ -85,6 +85,24 @@ def estimates():
     }
 
 
+AK_GRID_XS = (0.0, 0.5, 1.25, 2.0, 3.25, 10.0)
+
+
+def ak_grid_estimates():
+    """``ak_estimate`` per x over one grid per model at one seed, capped at a
+    sample count that is not a whole number of batches: some x converge at
+    the first check, others run to the cap.  On the lattice model 0.5, 2.0
+    and 10 are lattice points, where the atom term counts."""
+    out = {}
+    for name, model in MODELS.items():
+        q = QueueModel(model=model, rho=0.8)
+        for x in AK_GRID_XS:
+            est = ak_estimate(q, x, target_rel_err=0.01, seed=2024,
+                              max_samples=223_457)
+            out[f"{name}-x{x:g}"] = _fields(est)
+    return out
+
+
 def t_tail_z_values():
     """The criterion-6 grid, x=0, points where half and all of the nodes
     underflow past the -745 clamp, and an exponential-service point."""
@@ -124,6 +142,10 @@ def test_estimates_match_golden():
     assert estimates() == _load("estimates.json")
 
 
+def test_ak_grid_matches_golden():
+    assert ak_grid_estimates() == _load("ak_grid.json")
+
+
 def test_t_tail_z_matches_golden():
     assert t_tail_z_values() == _load("t_tail_z.json")
 
@@ -139,6 +161,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for fname, data in (("kernels.json", kernel_sums()),
                         ("estimates.json", estimates()),
+                        ("ak_grid.json", ak_grid_estimates()),
                         ("t_tail_z.json", t_tail_z_values())):
         (GOLDEN / fname).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     for name in SWEEPS:
