@@ -54,7 +54,7 @@ from .distributions import (
 from .errors import NoCrossingError, ResourceBudgetError, UnsupportedModelError
 from .geom import GeomModel, geom_gamma, geom_tail_approx, geom_threshold
 from .light_tails import corrected_heavy_traffic, cramer_lundberg_tail
-from .mc import ak_estimate, crude_mc, geom_crude_mc
+from .mc import ak_estimate, ak_estimate_grid, crude_mc, geom_crude_mc
 from .transition import (
     crossing_point,
     kappa,
@@ -204,11 +204,12 @@ def _write_table(path: str, fmt: str, meta: dict, rows: list) -> None:
 def cmd_sweep(args) -> int:
     _require(args, "dist", "rho", "x_min", "x_max", "points", "out")
     q = _queue(args)
-    xs = _sweep_grid(args)
+    xs = [float(x) for x in _sweep_grid(args)]
     include_clt = math.isfinite(variance_integrated(q.model))
+    if args.simulate:
+        ests = ak_estimate_grid(q, xs, target_rel_err=args.rel_err, seed=args.seed)
     rows = []
-    for x in xs:
-        x = float(x)
+    for i, x in enumerate(xs):
         pt = approximation_point(q, x)
         row = {
             "x": x,
@@ -220,9 +221,8 @@ def cmd_sweep(args) -> int:
         if include_clt:
             row["h_clt"] = pt.h_clt
         if args.simulate:
-            est = ak_estimate(q, x, target_rel_err=args.rel_err, seed=args.seed)
-            row["mc_estimate"] = est.estimate
-            row["mc_rel_err"] = est.rel_err
+            row["mc_estimate"] = ests[i].estimate
+            row["mc_rel_err"] = ests[i].rel_err
         row["regime"] = _regime_string(q, x)
         rows.append(row)
     try:

@@ -44,19 +44,29 @@ def _draws(model, states, counts):
 
 def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
     """Sum and sum-of-squares of conditional-estimator contributions for
-    replications rep0..rep0+nreps-1."""
+    replications rep0..rep0+nreps-1.  For a sequence ``x`` the replications
+    are drawn once and a list with one (sum, sum-of-squares) per x is
+    returned, each bit-identical to the scalar call at that x."""
     states, n = _counts(rho, seed, rep0, nreps, n_offset)
     rep_idx, xs = _draws(model, states, np.maximum(n - 1, 0))
     s = np.bincount(rep_idx, weights=xs, minlength=nreps)
     m = np.zeros(nreps)
     np.maximum.at(m, rep_idx, xs)
-    t = np.maximum(m, x - s)
-    v = np.where(n >= 1, n * model.tail(t), 0.0)
-    if isinstance(model, Lattice):
+    lattice = isinstance(model, Lattice)
+    if lattice:
         ties = np.bincount(rep_idx, weights=(xs == m[rep_idx]), minlength=nreps)
         extra = n * model.atom(m) / (ties + 1.0)
-        v = v + np.where((n >= 1) & (s + m > x), extra, 0.0)
-    return float(v.sum()), float((v * v).sum())
+    grid = np.ndim(x) > 0
+    sums = []
+    # each x gets its own contiguous 1-d v, reduced by the same 1-d sums as
+    # in a scalar call, so its bits are those of the scalar call
+    for xi in (x if grid else [x]):
+        t = np.maximum(m, xi - s)
+        v = np.where(n >= 1, n * model.tail(t), 0.0)
+        if lattice:
+            v = v + np.where((n >= 1) & (s + m > xi), extra, 0.0)
+        sums.append((float(v.sum()), float((v * v).sum())))
+    return sums if grid else sums[0]
 
 
 def crude_batch(model, rho, x, seed, rep0, nreps, n_offset=0):

@@ -16,7 +16,8 @@ P(N = n) = (1-rho) rho^n, n >= 0.  Its tail P(W > x) = sum over n of
 * ``crude_mc`` -- plain indicator sampling of W;
 * ``ak_estimate`` -- the conditional (max-hiding) estimator with a
   relative-error stopping rule; on lattice models an atom correction keeps it
-  exactly unbiased under ties.
+  exactly unbiased under ties.  ``ak_estimate_grid`` runs it at every x of a
+  grid from one shared set of draws.
 
 The absorbing cap is exact: summands are nonnegative, so once a partial sum
 exceeds a cap C > x it can never drop back, and P(S_n > x) is unchanged by
@@ -236,7 +237,7 @@ def _crude(model, rho, x, n_samples, seed, n_offset) -> SimulationEstimate:
 def crude_mc(q: QueueModel, x, n_samples: int, seed: int = 0) -> SimulationEstimate:
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     return _crude(q.model, q.rho, x, n_samples, seed, 0)
 
@@ -246,9 +247,73 @@ def geom_crude_mc(g: GeomModel, x, n_samples: int, seed: int = 0) -> SimulationE
     the queue-side estimator, count offset by one)."""
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     return _crude(g.y_model, 1.0 - g.p, x, n_samples, seed, 1)
+
+
+def _mean_half(s1: float, s2: float, n: int, z: float):
+    mean = s1 / n
+    var = max(0.0, (s2 - s1 * s1 / n) / (n - 1))
+    return mean, z * math.sqrt(var / n)
+
+
+def ak_estimate_grid(
+    q: QueueModel,
+    xs,
+    target_rel_err: float = 0.05,
+    confidence: float = 0.99,
+    seed: int = 0,
+    max_samples: int = 50_000_000,
+) -> list:
+    """``ak_estimate`` at every x of ``xs`` from one shared set of draws: each
+    batch of replications is drawn once for all x that have not stopped yet,
+    and each x keeps its own sums, stopping rule and sample count, so its
+    estimate equals the single-x call field for field."""
+    xs = list(xs)
+    for x in xs:
+        if not x >= 0:
+            raise ValueError(f"x must be nonnegative, got {x}")
+    if not target_rel_err > 0:
+        raise ValueError(f"target_rel_err must be positive, got {target_rel_err}")
+    if max_samples < 2:
+        raise ValueError(f"max_samples must be at least 2, got {max_samples}")
+    z = _z_value(confidence)
+    s1 = [0.0] * len(xs)
+    s2 = [0.0] * len(xs)
+    n = [0] * len(xs)
+    converged = [False] * len(xs)
+    active = list(range(len(xs)))
+    done = 0
+    while active and done < max_samples:
+        nb = min(BATCH_SIZE, max_samples - done)
+        sums = kernels.ak_batch(q.model, q.rho, [xs[i] for i in active], seed, done, nb)
+        done += nb
+        still = []
+        for i, (b1, b2) in zip(active, sums):
+            s1[i] += b1
+            s2[i] += b2
+            n[i] = done
+            if done >= MIN_SAMPLES_BEFORE_CHECK:
+                mean, half = _mean_half(s1[i], s2[i], done, z)
+                if mean > 0.0 and half <= target_rel_err * mean:
+                    converged[i] = True
+                    continue
+            still.append(i)
+        active = still
+    out = []
+    for i in range(len(xs)):
+        mean, half = _mean_half(s1[i], s2[i], n[i], z)
+        out.append(SimulationEstimate(
+            estimate=mean,
+            half_width=half,
+            rel_err=half / mean if mean > 0 else math.inf,
+            n_samples=n[i],
+            seed=seed,
+            method=Method.ASMUSSEN_KROESE,
+            converged=converged[i],
+        ))
+    return out
 
 
 def ak_estimate(
@@ -263,41 +328,4 @@ def ak_estimate(
     of 10^4 replications, first convergence check after 10^5, stop when the
     CI half-width at the given confidence is within target_rel_err of the
     estimate, or flag non-convergence at max_samples."""
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if not target_rel_err > 0:
-        raise ValueError(f"target_rel_err must be positive, got {target_rel_err}")
-    if max_samples < 2:
-        raise ValueError(f"max_samples must be at least 2, got {max_samples}")
-    z = _z_value(confidence)
-    s1 = 0.0
-    s2 = 0.0
-    n = 0
-    converged = False
-    while n < max_samples:
-        nb = min(BATCH_SIZE, max_samples - n)
-        b1, b2 = kernels.ak_batch(q.model, q.rho, x, seed, n, nb)
-        s1 += b1
-        s2 += b2
-        n += nb
-        if n >= MIN_SAMPLES_BEFORE_CHECK:
-            mean = s1 / n
-            if mean > 0.0:
-                var = max(0.0, (s2 - s1 * s1 / n) / (n - 1))
-                half = z * math.sqrt(var / n)
-                if half <= target_rel_err * mean:
-                    converged = True
-                    break
-    mean = s1 / n
-    var = max(0.0, (s2 - s1 * s1 / n) / (n - 1))
-    half = z * math.sqrt(var / n)
-    rel = half / mean if mean > 0 else math.inf
-    return SimulationEstimate(
-        estimate=mean,
-        half_width=half,
-        rel_err=rel,
-        n_samples=n,
-        seed=seed,
-        method=Method.ASMUSSEN_KROESE,
-        converged=converged,
-    )
+    return ak_estimate_grid(q, [x], target_rel_err, confidence, seed, max_samples)[0]

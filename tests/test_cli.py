@@ -84,6 +84,10 @@ def test_exit_code_usage(capsys):
         code, _ = run(capsys, cmd, "--dist", "exp:rate=1", "--rho", "0.5",
                       "--x", "2", "--max-samples", "0")
         assert code == 2
+    for method in ("ak", "crude"):
+        code, _ = run(capsys, "simulate", "--dist", "exp:rate=1", "--rho", "0.5",
+                      "--x", "nan", "--method", method)
+        assert code == 2
     assert main(["no-such-command"]) == 2
 
 

@@ -21,6 +21,7 @@ from mg1tail import (
     ParetoIntegratedTail,
     QueueModel,
     ak_estimate,
+    ak_estimate_grid,
     crude_mc,
     geom_crude_mc,
     t_tail_z,
@@ -86,19 +87,23 @@ def estimates():
 
 
 AK_GRID_XS = (0.0, 0.5, 1.25, 2.0, 3.25, 10.0)
+AK_GRID_ARGS = {"target_rel_err": 0.01, "seed": 2024, "max_samples": 223_457}
 
 
-def ak_grid_estimates():
-    """``ak_estimate`` per x over one grid per model at one seed, capped at a
-    sample count that is not a whole number of batches: some x converge at
-    the first check, others run to the cap.  On the lattice model 0.5, 2.0
-    and 10 are lattice points, where the atom term counts."""
+def ak_grid_estimates(grid=False):
+    """``ak_estimate`` per x (or one ``ak_estimate_grid`` call) over one grid
+    per model at one seed, capped at a sample count that is not a whole
+    number of batches: some x converge at the first check, others later or
+    not before the cap.  On the lattice model 0.5, 2.0 and 10 are lattice
+    points, where the atom term counts."""
     out = {}
     for name, model in MODELS.items():
         q = QueueModel(model=model, rho=0.8)
-        for x in AK_GRID_XS:
-            est = ak_estimate(q, x, target_rel_err=0.01, seed=2024,
-                              max_samples=223_457)
+        if grid:
+            ests = ak_estimate_grid(q, AK_GRID_XS, **AK_GRID_ARGS)
+        else:
+            ests = [ak_estimate(q, x, **AK_GRID_ARGS) for x in AK_GRID_XS]
+        for x, est in zip(AK_GRID_XS, ests):
             out[f"{name}-x{x:g}"] = _fields(est)
     return out
 
@@ -143,7 +148,9 @@ def test_estimates_match_golden():
 
 
 def test_ak_grid_matches_golden():
-    assert ak_grid_estimates() == _load("ak_grid.json")
+    want = _load("ak_grid.json")
+    assert ak_grid_estimates() == want
+    assert ak_grid_estimates(grid=True) == want
 
 
 def test_t_tail_z_matches_golden():

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mg1tail import (
     ExponentialIntegrated,
@@ -11,7 +13,9 @@ from mg1tail import (
     ParetoIntegratedTail,
     QueueModel,
     ResourceBudgetError,
+    SimulationEstimate,
     ak_estimate,
+    ak_estimate_grid,
     convolve_tail,
     convolve_tail_grid,
     crude_mc,
@@ -20,6 +24,8 @@ from mg1tail import (
     pk_truncated,
     tail_prob,
 )
+from mg1tail import mc
+from mg1tail.kernels import _counts, _draws
 
 TWO_POINT = Lattice(h=1.0, mass=[0.0, 0.5, 0.5])
 
@@ -167,6 +173,101 @@ def test_ak_stop_rule():
     assert capped.n_samples == 60_000
 
 
+def _ak_batch_per_x(model, rho, x, seed, rep0, nreps, n_offset=0):
+    """Reference: the single-x kernel, drawing every replication anew for
+    each x."""
+    states, n = _counts(rho, seed, rep0, nreps, n_offset)
+    rep_idx, xs = _draws(model, states, np.maximum(n - 1, 0))
+    s = np.bincount(rep_idx, weights=xs, minlength=nreps)
+    m = np.zeros(nreps)
+    np.maximum.at(m, rep_idx, xs)
+    t = np.maximum(m, x - s)
+    v = np.where(n >= 1, n * model.tail(t), 0.0)
+    if isinstance(model, Lattice):
+        ties = np.bincount(rep_idx, weights=(xs == m[rep_idx]), minlength=nreps)
+        extra = n * model.atom(m) / (ties + 1.0)
+        v = v + np.where((n >= 1) & (s + m > x), extra, 0.0)
+    return float(v.sum()), float((v * v).sum())
+
+
+def _ak_estimate_per_x(q, x, target_rel_err=0.05, confidence=0.99, seed=0,
+                       max_samples=50_000_000):
+    """Reference: the single-x estimator loop with its own stopping rule."""
+    if x < 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
+    if not target_rel_err > 0:
+        raise ValueError(f"target_rel_err must be positive, got {target_rel_err}")
+    if max_samples < 2:
+        raise ValueError(f"max_samples must be at least 2, got {max_samples}")
+    z = mc._z_value(confidence)
+    s1 = 0.0
+    s2 = 0.0
+    n = 0
+    converged = False
+    while n < max_samples:
+        nb = min(mc.BATCH_SIZE, max_samples - n)
+        b1, b2 = _ak_batch_per_x(q.model, q.rho, x, seed, n, nb)
+        s1 += b1
+        s2 += b2
+        n += nb
+        if n >= mc.MIN_SAMPLES_BEFORE_CHECK:
+            mean = s1 / n
+            if mean > 0.0:
+                var = max(0.0, (s2 - s1 * s1 / n) / (n - 1))
+                half = z * math.sqrt(var / n)
+                if half <= target_rel_err * mean:
+                    converged = True
+                    break
+    mean = s1 / n
+    var = max(0.0, (s2 - s1 * s1 / n) / (n - 1))
+    half = z * math.sqrt(var / n)
+    rel = half / mean if mean > 0 else math.inf
+    return SimulationEstimate(
+        estimate=mean,
+        half_width=half,
+        rel_err=rel,
+        n_samples=n,
+        seed=seed,
+        method=Method.ASMUSSEN_KROESE,
+        converged=converged,
+    )
+
+
+_lattices = st.builds(
+    lambda h, w: Lattice(h=h, mass=np.array(w, dtype=float) / sum(w)),
+    st.sampled_from([0.25, 0.5, 1.0]),
+    st.lists(st.integers(0, 5), min_size=1, max_size=4).map(lambda w: w + [1]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.one_of(st.floats(3.05, 8.0).map(ParetoIntegratedTail),
+                    st.floats(0.1, 10.0).map(ExponentialIntegrated),
+                    _lattices),
+    rho=st.floats(0.05, 0.95),
+    xs=st.lists(st.one_of(st.just(0.0),
+                          st.integers(0, 40).map(lambda k: 0.25 * k),
+                          st.floats(0.0, 20.0)), min_size=1, max_size=6),
+    target_rel_err=st.floats(0.005, 0.1),
+    seed=st.integers(0, 2**64 - 1),
+    # past 10^5 the stopping rule runs, and x drop out at different batches
+    max_samples=st.one_of(st.integers(2, 30_000), st.integers(100_000, 250_000)),
+)
+def test_ak_estimate_grid_equals_per_x_estimates(model, rho, xs, target_rel_err,
+                                                 seed, max_samples):
+    q = QueueModel(model=model, rho=rho)
+    got = ak_estimate_grid(q, xs, target_rel_err=target_rel_err, seed=seed,
+                           max_samples=max_samples)
+    assert len(got) == len(xs)
+    for x, est in zip(xs, got):
+        want = _ak_estimate_per_x(q, x, target_rel_err=target_rel_err,
+                                  seed=seed, max_samples=max_samples)
+        for f in dataclasses.fields(SimulationEstimate):
+            a, b = getattr(est, f.name), getattr(want, f.name)
+            assert a == b and type(a) is type(b), (x, f.name, a, b)
+
+
 def test_geom_crude_mc_matches_conditioned_queue():
     # the geometric sum with count >= 1 is the queue sum given N >= 1:
     # P(Z > x) = P(W > x) / (1 - p) for x >= 0
@@ -185,6 +286,15 @@ def test_input_validation():
         crude_mc(q, 1.0, 50)
     with pytest.raises(ValueError):
         ak_estimate(q, -1.0)
+    # NaN fails every comparison, so it must not slip past `x < 0`
+    with pytest.raises(ValueError):
+        ak_estimate(q, math.nan)
+    with pytest.raises(ValueError):
+        ak_estimate_grid(q, [1.0, math.nan])
+    with pytest.raises(ValueError):
+        crude_mc(q, math.nan, 100)
+    with pytest.raises(ValueError):
+        geom_crude_mc(GeomModel(ParetoIntegratedTail(4.0), 0.2), math.nan, 100)
     with pytest.raises(ValueError):
         geom_crude_mc(GeomModel(ParetoIntegratedTail(4.0), 0.2), -5.0, 100, seed=1)
     for too_few in (0, 1):
