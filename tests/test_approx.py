@@ -168,6 +168,8 @@ def test_quad_nodes_cached_read_only():
     z = _quad_nodes()
     assert z is _quad_nodes()
     assert not z.flags.writeable
+    # midpoint nodes reach only |z| = 5.03, so no node is ever dropped
+    assert z.size == _QUAD_NODES
     # built on first use, not when the package is imported
     probe = ("import mg1tail.approx as a; "
              "print(a._quad_nodes.cache_info().currsize)")
