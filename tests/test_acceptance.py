@@ -17,6 +17,7 @@ from mg1tail import (
     ParetoIntegratedTail,
     QueueModel,
     ak_estimate,
+    ak_estimate_grid,
     convolve_tail_grid,
     cramer_lundberg_tail,
     crude_mc,
@@ -109,8 +110,10 @@ def test_criterion_3_regime_profiles_vs_mc():
     for alpha, rho in ((3.1, 0.95), (3.5, 0.8)):
         q = QueueModel(model=ParetoIntegratedTail(alpha=alpha), rho=rho)
         xhat = threshold_x(q)
-        for x in np.geomspace(1.0, 4.0 * xhat, 40):
-            mc = ak_estimate(q, float(x), target_rel_err=0.05, seed=20240814)
+        xs = np.geomspace(1.0, 4.0 * xhat, 40)
+        mcs = ak_estimate_grid(q, [float(x) for x in xs], target_rel_err=0.05,
+                               seed=20240814)
+        for x, mc in zip(xs, mcs):
             if not mc.converged:
                 continue
             clauses = [("H", h_approx(q, float(x)), True)]
@@ -141,16 +144,15 @@ def test_criterion_4_deviation_shrinks_toward_saturation():
     for rho in rhos:
         q = QueueModel(model=model, rho=rho)
         xhat = threshold_x(q)
+        xs_ht = [float(frac * xhat) for frac in np.geomspace(0.02, 0.5, 12)]
+        xs_htail = [float(frac * xhat) for frac in np.geomspace(2.0, 4.0, 5)]
+        mcs = ak_estimate_grid(q, xs_ht + xs_htail, target_rel_err=0.02, seed=77)
         dev = 0.0
-        for frac in np.geomspace(0.02, 0.5, 12):
-            x = float(frac * xhat)
-            mc = ak_estimate(q, x, target_rel_err=0.02, seed=77)
+        for x, mc in zip(xs_ht, mcs):
             dev = max(dev, abs(heavy_traffic(q, x) / mc.estimate - 1.0))
         worst_ht.append(dev)
         dev = 0.0
-        for frac in np.geomspace(2.0, 4.0, 5):
-            x = float(frac * xhat)
-            mc = ak_estimate(q, x, target_rel_err=0.02, seed=77)
+        for x, mc in zip(xs_htail, mcs[len(xs_ht):]):
             dev = max(dev, abs(heavy_tail(q, x) / mc.estimate - 1.0))
         worst_htail.append(dev)
     ok = all(a >= b for a, b in zip(worst_ht, worst_ht[1:])) and \
