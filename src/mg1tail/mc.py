@@ -265,7 +265,7 @@ def ak_estimate_grid(
     confidence: float = 0.99,
     seed: int = 0,
     max_samples: int = 50_000_000,
-) -> list:
+) -> list[SimulationEstimate]:
     """``ak_estimate`` at every x of ``xs`` from one shared set of draws: each
     batch of replications is drawn once for all x that have not stopped yet,
     and each x keeps its own sums, stopping rule and sample count, so its
