@@ -1,5 +1,7 @@
-"""Seeded outputs pinned bit for bit: kernel batch sums, estimator fields, the
-quadrature form ``t_tail_z`` and the bytes of ``sweep --simulate`` tables.
+"""Outputs pinned bit for bit: kernel batch sums, estimator fields, the
+quadrature form ``t_tail_z``, the bytes of ``sweep --simulate`` tables, and
+the closed-form scalars (model formulas, every approximation and threshold,
+and the ``approx``/``threshold`` CLI output) over a grid of models, rho and x.
 
 The files under ``tests/golden/`` were recorded on x86-64 with Python 3.11 and
 numpy 2.4; other libm or numpy builds may differ in the last bits of a pow or
@@ -8,16 +10,22 @@ exp.  Regenerate them only for an intended output change:
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import contextlib
+import dataclasses
+import enum
+import io
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
+import mg1tail
 from mg1tail import (
     ExponentialIntegrated,
     GeomModel,
     Lattice,
+    Mg1TailError,
     ParetoIntegratedTail,
     QueueModel,
     ak_estimate,
@@ -126,6 +134,109 @@ def t_tail_z_values():
     return out
 
 
+SCALAR_MODELS = {
+    "pareto2.7": ParetoIntegratedTail(alpha=2.7),
+    "pareto3.5": ParetoIntegratedTail(alpha=3.5),
+    "pareto5": ParetoIntegratedTail(alpha=5.0),
+    "exp0.3": ExponentialIntegrated(rate=0.3),
+    "exp1": ExponentialIntegrated(rate=1.0),
+    "lattice": Lattice(h=0.3, mass=[0.05, 0.15, 0.3, 0.2, 0.2, 0.1]),
+}
+SCALAR_RHOS = (0.3, 0.8, 0.95, 0.99)
+SCALAR_XS = (0.0, 0.5, 0.9, 0.999, 1.0, 1.5, 2.0, 3.25, 5.0, 10.0, 17.3, 40.0,
+             100.0, 1000.0, 1e4)
+SCALAR_US = (1e-9, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0 - 1e-9)
+# lattice points (0.9 is not one: the third point is 3*0.3 = 0.8999...)
+SCALAR_VS = (-0.3, 0.0, 0.3, 0.6, 0.9, 0.45, 1.2, 1.5, 7.0)
+QUEUE_FNS = ("heavy_traffic", "heavy_tail", "big_m", "s_sum", "geometric_term",
+             "h_approx", "gamma_factor", "j_approx", "t_tail", "t_tail_z",
+             "h_clt", "regime_classify")
+LIGHT_TAIL_FNS = ("cramer_lundberg_tail", "corrected_heavy_traffic")
+GEOM_FNS = ("geom_gamma", "geom_tail_approx")
+CLI_METHODS = ("ht", "tail", "h", "j", "h-clt", "cl", "corrected-ht", "geom")
+
+
+def _hexed(v):
+    if dataclasses.is_dataclass(v):
+        return {k: _hexed(f) for k, f in vars(v).items()}
+    if isinstance(v, enum.Enum):
+        return v.value
+    if isinstance(v, float):
+        return v.hex()
+    return v
+
+
+def _pin(fn, *args):
+    """float.hex of fn(*args) (per field for a dataclass), or the error type
+    and message."""
+    try:
+        return _hexed(fn(*args))
+    except (Mg1TailError, ValueError, ArithmeticError) as e:
+        return [type(e).__name__, str(e)]
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "code": code}
+
+
+def scalar_values():
+    """The model formulas, then every closed-form approximation, threshold and
+    light-tail value at each rho and x, then the ``approx`` (all methods) and
+    ``threshold`` CLI output."""
+    out = {}
+    for name, model in SCALAR_MODELS.items():
+        out[f"{name}/mean"] = _pin(mg1tail.mean_integrated, model)
+        out[f"{name}/variance"] = _pin(mg1tail.variance_integrated, model)
+        out[f"{name}/service_moments"] = _pin(mg1tail.service_moments, model)
+        out[f"{name}/tail_index"] = _pin(mg1tail.tail_index, model)
+        out[f"{name}/kappa"] = _pin(mg1tail.kappa, model)
+        for x in SCALAR_XS:
+            out[f"{name}/tail_prob/{x!r}"] = _pin(mg1tail.tail_prob, model, x)
+            out[f"{name}/threshold_rho/{x!r}"] = _pin(
+                mg1tail.threshold_rho, model, x)
+            for n in (1, 2, 5):
+                out[f"{name}/subexp_sum_approx/{n}/{x!r}"] = _pin(
+                    mg1tail.subexp_sum_approx, model, n, x)
+        for u in SCALAR_US:
+            out[f"{name}/sample_x/{u!r}"] = _pin(mg1tail.sample_x, model, u)
+        for v in SCALAR_VS:
+            out[f"{name}/atom_prob/{v!r}"] = _pin(mg1tail.atom_prob, model, v)
+        for rho in SCALAR_RHOS:
+            q = QueueModel(model=model, rho=rho)
+            key = f"{name}/{rho!r}"
+            out[f"{key}/threshold_x"] = _pin(mg1tail.threshold_x, q)
+            out[f"{key}/crossing_point"] = _pin(mg1tail.crossing_point, q)
+            out[f"{key}/adjustment_coefficient"] = _pin(
+                mg1tail.adjustment_coefficient, model, rho)
+            try:
+                g = GeomModel(y_model=model, p=1.0 - rho)
+            except (Mg1TailError, ValueError) as e:
+                g = None
+                out[f"{key}/geom_model"] = [type(e).__name__, str(e)]
+            else:
+                out[f"{key}/geom_tau"] = g.tau.hex()
+                out[f"{key}/geom_threshold"] = _pin(mg1tail.geom_threshold, g)
+            for x in SCALAR_XS:
+                for fn in QUEUE_FNS:
+                    out[f"{key}/{fn}/{x!r}"] = _pin(getattr(mg1tail, fn), q, x)
+                for fn in LIGHT_TAIL_FNS:
+                    out[f"{key}/{fn}/{x!r}"] = _pin(getattr(mg1tail, fn), model, rho, x)
+                if g is not None:
+                    for fn in GEOM_FNS:
+                        out[f"{key}/{fn}/{x!r}"] = _pin(getattr(mg1tail, fn), g, x)
+    for dist in ("pareto-it:alpha=3.5", "exp:rate=1"):
+        model_args = ("--dist", dist, "--rho", "0.9")
+        for method in CLI_METHODS:
+            for x in ("0.5", "20"):
+                out[f"cli/approx/{dist}/{method}/{x}"] = _cli(
+                    "approx", *model_args, "--x", x, "--method", method)
+        out[f"cli/threshold/{dist}"] = _cli("threshold", *model_args, "--x", "50")
+    return out
+
+
 def sweep_bytes(name, fmt, directory):
     path = pathlib.Path(directory) / f"sweep-{name}.{fmt}"
     code = main(["sweep", *SWEEPS[name], "--points", "4", "--log-grid",
@@ -157,6 +268,12 @@ def test_t_tail_z_matches_golden():
     assert t_tail_z_values() == _load("t_tail_z.json")
 
 
+def test_scalars_match_golden():
+    got, want = scalar_values(), _load("scalars.json")
+    assert got.keys() == want.keys()
+    assert [k for k in want if got[k] != want[k]] == []
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_bytes_match_golden(name, fmt, tmp_path, capsys):
@@ -169,7 +286,8 @@ if __name__ == "__main__":
     for fname, data in (("kernels.json", kernel_sums()),
                         ("estimates.json", estimates()),
                         ("ak_grid.json", ak_grid_estimates()),
-                        ("t_tail_z.json", t_tail_z_values())):
+                        ("t_tail_z.json", t_tail_z_values()),
+                        ("scalars.json", scalar_values())):
         (GOLDEN / fname).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     for name in SWEEPS:
         for fmt in ("csv", "json"):
