@@ -25,15 +25,7 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from .distributions import (
-    ExponentialIntegrated,
-    IntegratedTailModel,
-    ParetoIntegratedTail,
-    QueueModel,
-    mean_integrated,
-    tail_prob,
-    variance_integrated,
-)
+from .distributions import IntegratedTailModel, QueueModel, tail_prob
 from .errors import UnsupportedModelError
 
 # terms below this magnitude are skipped so summation order quirks at the
@@ -57,7 +49,7 @@ class ApproximationPoint:
 def heavy_traffic(q: QueueModel, x) -> float:
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    mu = mean_integrated(q.model)
+    mu = q.model.mean()
     return math.exp(-(1.0 - q.rho) * x / mu)
 
 
@@ -68,18 +60,14 @@ def heavy_tail(q: QueueModel, x) -> float:
     return q.rho / (1.0 - q.rho) * tail_prob(q.model, x)
 
 
-def _beta_exponent(model: IntegratedTailModel) -> float:
-    if isinstance(model, ParetoIntegratedTail):
-        return 1.0 / min(2.0, model.alpha - 1.0)
-    # light-tailed variants behave like alpha = infinity
-    return 0.5
-
-
 def big_m(q: QueueModel, x) -> int:
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    beta = _beta_exponent(q.model)
-    mu = mean_integrated(q.model)
+    try:
+        beta = 1.0 / min(2.0, q.model.tail_index())
+    except UnsupportedModelError:
+        beta = 0.5  # light-tailed variants behave like alpha = infinity
+    mu = q.model.mean()
     if x == 0.0:
         return 0
     return max(0, math.floor((x - x**beta) / mu))
@@ -88,7 +76,7 @@ def big_m(q: QueueModel, x) -> int:
 def s_sum(q: QueueModel, x) -> float:
     """Compensated ascending sum of (1-rho) rho^n n F̄(x-(n-1)mu)."""
     m = big_m(q, x)
-    mu = mean_integrated(q.model)
+    mu = q.model.mean()
     rho = q.rho
     total = 0.0
     comp = 0.0
@@ -108,7 +96,7 @@ def s_sum(q: QueueModel, x) -> float:
 def geometric_term(q: QueueModel, x) -> float:
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    mu = mean_integrated(q.model)
+    mu = q.model.mean()
     return q.rho ** (x / mu)
 
 
@@ -121,7 +109,7 @@ def gamma_factor(q: QueueModel, x) -> float:
     t = (1-rho)x/mu one has rho^{x/mu} <= e^{-t} and e^{-t}(1+t) <= 1."""
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    mu = mean_integrated(q.model)
+    mu = q.model.mean()
     g = q.rho ** (x / mu)
     # keep the half-open range when the complement underflows past 1 ulp
     return min(1.0 - g - g * (1.0 - q.rho) * x / mu, math.nextafter(1.0, 0.0))
@@ -133,7 +121,7 @@ def j_approx(q: QueueModel, x) -> float:
 
 
 def _sigma(q: QueueModel) -> float:
-    var = variance_integrated(q.model)
+    var = q.model.variance()
     if math.isinf(var):
         raise UnsupportedModelError(
             "infinite-variance model: the normal-refined term is undefined "
@@ -153,7 +141,7 @@ def t_tail(q: QueueModel, x, _tol=_SERIES_TOL) -> float:
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     sigma = _sigma(q)
-    mu = mean_integrated(q.model)
+    mu = q.model.mean()
     rho = q.rho
     n_max = math.ceil(math.log(_tol) / math.log(rho))
     total = 0.0
@@ -196,7 +184,7 @@ def t_tail_z(q: QueueModel, x) -> float:
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     sigma = _sigma(q)
-    mu = mean_integrated(q.model)
+    mu = q.model.mean()
     rho = q.rho
     z = _quad_nodes()
     a = sigma / (2.0 * mu)
@@ -234,7 +222,7 @@ def subexp_sum_approx(model: IntegratedTailModel, n: int, x) -> float:
         raise ValueError(f"n must be a positive integer, got {n}")
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    mu = mean_integrated(model)
+    mu = model.mean()
     return n * tail_prob(model, max(0.0, x - (n - 1) * mu))
 
 

@@ -49,7 +49,6 @@ from .distributions import (
     ParetoIntegratedTail,
     QueueModel,
     parse_model,
-    variance_integrated,
 )
 from .errors import NoCrossingError, ResourceBudgetError, UnsupportedModelError
 from .geom import GeomModel, geom_gamma, geom_tail_approx, geom_threshold
@@ -205,7 +204,7 @@ def cmd_sweep(args) -> int:
     _require(args, "dist", "rho", "x_min", "x_max", "points", "out")
     q = _queue(args)
     xs = [float(x) for x in _sweep_grid(args)]
-    include_clt = math.isfinite(variance_integrated(q.model))
+    include_clt = math.isfinite(q.model.variance())
     if args.simulate:
         ests = ak_estimate_grid(q, xs, target_rel_err=args.rel_err, seed=args.seed)
     rows = []

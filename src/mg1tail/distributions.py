@@ -2,7 +2,8 @@
 
 The central object is the integrated-tail distribution of the service time:
 the stationary-excess law whose density is P(V > t)/EV.  All waiting-time
-formulas downstream consume only this law's tail, mean, and variance.
+formulas downstream consume only this law's tail, mean, and variance, plus,
+for power-law models, its tail index.
 
 Variants:
 
@@ -17,10 +18,18 @@ Variants:
   convolution oracles and estimator-unbiasedness tests have exactly
   enumerable ground truth.
 
-Each model has vector methods ``quantile``/``tail`` (and ``atom`` on the
-lattice) for the batch kernels; the scalar functions below are kept apart
-because a 0-d numpy call is ~20x slower and numpy's SIMD pow/exp differ from
-libm by 1-2 ulp, which would change the deterministic tables.
+Each model owns its formulas, in two forms.  The scalar methods
+(``tail_prob``, ``sample_x``, ``atom_prob``, ``mean``, ``variance`` and, where
+defined, ``tail_index``/``service_moments``) use Python floats and libm; the
+closed-form approximations call them once per term.  The vector methods
+(``quantile``, ``tail``, and ``atom`` on the lattice) use numpy for the batch
+kernels.  Neither form can stand in for the other: a 0-d numpy call is ~20x
+slower than the scalar one, and numpy's SIMD pow/exp differ from libm by 1-2
+ulp, which would change the deterministic tables.  ``IntegratedTailModel``
+supplies what a variant lacks: no atoms, and an ``UnsupportedModelError`` for
+a tail index or service moments it does not identify.  The module functions
+``tail_prob`` and ``sample_x`` only check their argument before calling the
+method.
 """
 
 from dataclasses import dataclass
@@ -32,12 +41,64 @@ from .errors import UnsupportedModelError
 
 
 @dataclass(frozen=True)
-class ParetoIntegratedTail:
+class ServiceMoments:
+    """Raw moments of the underlying service time V."""
+
+    ev1: float
+    ev2: float
+    ev3: float | None = None
+
+
+class IntegratedTailModel:
+    """Defaults for the integrated-tail models."""
+
+    def atom_prob(self, v: float) -> float:
+        """P(X = v); zero for the atomless variants."""
+        return 0.0
+
+    def tail_index(self) -> float:
+        """The power alpha-1 governing the integrated tail; errors otherwise."""
+        raise UnsupportedModelError("model has no regularly varying tail index")
+
+    def service_moments(self) -> ServiceMoments:
+        """Moments of the service time V itself (only identified for the
+        exponential variant: V ~ Exp(rate))."""
+        raise UnsupportedModelError(
+            "service-time moments are only identified for the exponential variant"
+        )
+
+
+@dataclass(frozen=True)
+class ParetoIntegratedTail(IntegratedTailModel):
     alpha: float
 
     def __post_init__(self):
         if not self.alpha > 2:
             raise ValueError(f"alpha must exceed 2, got {self.alpha}")
+
+    def tail_prob(self, x: float) -> float:
+        if x < 1.0:
+            return 1.0
+        return x ** (-(self.alpha - 1.0))
+
+    def sample_x(self, u: float) -> float:
+        return (1.0 - u) ** (-1.0 / (self.alpha - 1.0))
+
+    def mean(self) -> float:
+        a = self.alpha
+        return (a - 1.0) / (a - 2.0)
+
+    def variance(self) -> float:
+        """math.inf marks the infinite-variance regime (2 < alpha <= 3)."""
+        a = self.alpha
+        if a <= 3.0:
+            return math.inf
+        ex2 = (a - 1.0) / (a - 3.0)
+        m = (a - 1.0) / (a - 2.0)
+        return ex2 - m * m
+
+    def tail_index(self) -> float:
+        return self.alpha - 1.0
 
     def quantile(self, u):
         return (1.0 - u) ** (-1.0 / (self.alpha - 1.0))
@@ -50,12 +111,28 @@ class ParetoIntegratedTail:
 
 
 @dataclass(frozen=True)
-class ExponentialIntegrated:
+class ExponentialIntegrated(IntegratedTailModel):
     rate: float
 
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
+
+    def tail_prob(self, x: float) -> float:
+        return math.exp(-self.rate * x)
+
+    def sample_x(self, u: float) -> float:
+        return -math.log1p(-u) / self.rate
+
+    def mean(self) -> float:
+        return 1.0 / self.rate
+
+    def variance(self) -> float:
+        return 1.0 / (self.rate * self.rate)
+
+    def service_moments(self) -> ServiceMoments:
+        r = self.rate
+        return ServiceMoments(ev1=1.0 / r, ev2=2.0 / r**2, ev3=6.0 / r**3)
 
     def quantile(self, u):
         return -np.log1p(-u) / self.rate
@@ -64,7 +141,7 @@ class ExponentialIntegrated:
         return np.exp(-self.rate * t)
 
 
-class Lattice:
+class Lattice(IntegratedTailModel):
     """Mass vector over the points {0, h, 2h, ...}. Immutable after init."""
 
     def __init__(self, h: float, mass):
@@ -87,6 +164,29 @@ class Lattice:
         self.cum.setflags(write=False)
         self.support = np.arange(m.size) * self.h
         self.support.setflags(write=False)
+
+    def tail_prob(self, x: float) -> float:
+        # mass strictly above x
+        idx = int(np.searchsorted(self.support, x, side="right"))
+        return float(self.suffix[idx])
+
+    def sample_x(self, u: float) -> float:
+        idx = int(np.searchsorted(self.cum, u, side="right"))
+        idx = min(idx, self.mass.size - 1)
+        return float(self.support[idx])
+
+    def atom_prob(self, v: float) -> float:
+        j = int(round(v / self.h))
+        if 0 <= j < self.mass.size and self.support[j] == v:
+            return float(self.mass[j])
+        return 0.0
+
+    def mean(self) -> float:
+        return float(np.sum(self.support * self.mass))
+
+    def variance(self) -> float:
+        m = self.mean()
+        return float(np.sum((self.support - m) ** 2 * self.mass))
 
     def quantile(self, u):
         idx = np.searchsorted(self.cum, u, side="right")
@@ -115,18 +215,6 @@ class Lattice:
         return hash((self.h, self.mass.tobytes()))
 
 
-IntegratedTailModel = ParetoIntegratedTail | ExponentialIntegrated | Lattice
-
-
-@dataclass(frozen=True)
-class ServiceMoments:
-    """Raw moments of the underlying service time V."""
-
-    ev1: float
-    ev2: float
-    ev3: float | None = None
-
-
 @dataclass(frozen=True)
 class QueueModel:
     model: IntegratedTailModel
@@ -141,80 +229,14 @@ def tail_prob(model: IntegratedTailModel, x) -> float:
     """P(X > x) for the integrated-tail variable."""
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    if isinstance(model, ParetoIntegratedTail):
-        if x < 1.0:
-            return 1.0
-        return x ** (-(model.alpha - 1.0))
-    if isinstance(model, ExponentialIntegrated):
-        return math.exp(-model.rate * x)
-    # lattice: mass strictly above x
-    idx = int(np.searchsorted(model.support, x, side="right"))
-    return float(model.suffix[idx])
-
-
-def atom_prob(model: IntegratedTailModel, v: float) -> float:
-    """P(X = v); zero for the atomless variants."""
-    if not isinstance(model, Lattice):
-        return 0.0
-    j = int(round(v / model.h))
-    if 0 <= j < model.mass.size and model.support[j] == v:
-        return float(model.mass[j])
-    return 0.0
-
-
-def mean_integrated(model: IntegratedTailModel) -> float:
-    if isinstance(model, ParetoIntegratedTail):
-        a = model.alpha
-        return (a - 1.0) / (a - 2.0)
-    if isinstance(model, ExponentialIntegrated):
-        return 1.0 / model.rate
-    return float(np.sum(model.support * model.mass))
-
-
-def variance_integrated(model: IntegratedTailModel) -> float:
-    """Var(X); math.inf marks the infinite-variance regime (2 < alpha <= 3)."""
-    if isinstance(model, ParetoIntegratedTail):
-        a = model.alpha
-        if a <= 3.0:
-            return math.inf
-        ex2 = (a - 1.0) / (a - 3.0)
-        m = (a - 1.0) / (a - 2.0)
-        return ex2 - m * m
-    if isinstance(model, ExponentialIntegrated):
-        return 1.0 / (model.rate * model.rate)
-    m = mean_integrated(model)
-    return float(np.sum((model.support - m) ** 2 * model.mass))
+    return model.tail_prob(x)
 
 
 def sample_x(model: IntegratedTailModel, u: float) -> float:
     """The u-quantile of X; u near 1 probes the right tail."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0,1), got {u}")
-    if isinstance(model, ParetoIntegratedTail):
-        return (1.0 - u) ** (-1.0 / (model.alpha - 1.0))
-    if isinstance(model, ExponentialIntegrated):
-        return -math.log1p(-u) / model.rate
-    idx = int(np.searchsorted(model.cum, u, side="right"))
-    idx = min(idx, model.mass.size - 1)
-    return float(model.support[idx])
-
-
-def service_moments(model: IntegratedTailModel) -> ServiceMoments:
-    """Moments of the service time V itself (only identified for the
-    exponential variant: V ~ Exp(rate))."""
-    if isinstance(model, ExponentialIntegrated):
-        r = model.rate
-        return ServiceMoments(ev1=1.0 / r, ev2=2.0 / r**2, ev3=6.0 / r**3)
-    raise UnsupportedModelError(
-        "service-time moments are only identified for the exponential variant"
-    )
-
-
-def tail_index(model: IntegratedTailModel) -> float:
-    """The power alpha-1 governing the integrated tail; errors otherwise."""
-    if isinstance(model, ParetoIntegratedTail):
-        return model.alpha - 1.0
-    raise UnsupportedModelError("model has no regularly varying tail index")
+    return model.sample_x(u)
 
 
 def parse_model(text: str) -> IntegratedTailModel:

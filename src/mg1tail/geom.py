@@ -10,7 +10,7 @@ test suite locks the two implementations together at 1e-12.
 from dataclasses import dataclass, field
 import math
 
-from .distributions import IntegratedTailModel, mean_integrated, tail_index, tail_prob
+from .distributions import IntegratedTailModel, tail_prob
 
 
 @dataclass(frozen=True)
@@ -22,19 +22,17 @@ class GeomModel:
     def __post_init__(self):
         if not 0 < self.p < 1:
             raise ValueError(f"p must lie strictly in (0,1), got {self.p}")
-        beta = tail_index(self.y_model)  # rejects variants without one
+        beta = self.y_model.tail_index()  # rejects variants without one
         if not beta > 2:
             raise ValueError(f"summand tail index must exceed 2, got {beta}")
-        object.__setattr__(
-            self, "tau", (beta - 1.0) * mean_integrated(self.y_model)
-        )
+        object.__setattr__(self, "tau", (beta - 1.0) * self.y_model.mean())
 
 
 def geom_gamma(g: GeomModel, x) -> float:
     """1 - (1-p)^{x/mu} (1 + p x/mu) with mu the summand mean; in [0,1)."""
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    mu = mean_integrated(g.y_model)
+    mu = g.y_model.mean()
     base = (1.0 - g.p) ** (x / mu)
     # keep the half-open range when the complement underflows past 1 ulp
     return min(1.0 - base - base * g.p * x / mu, math.nextafter(1.0, 0.0))
@@ -44,7 +42,7 @@ def geom_tail_approx(g: GeomModel, x) -> float:
     """((1-p)/p) gamma(x) P(Y > x) + (1-p)^{x/mu}."""
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    mu = mean_integrated(g.y_model)
+    mu = g.y_model.mean()
     base = (1.0 - g.p) ** (x / mu)
     return (1.0 - g.p) / g.p * geom_gamma(g, x) * tail_prob(g.y_model, x) + base
 

@@ -9,7 +9,7 @@ of the contrast with the heavy-tailed machinery.
 from dataclasses import dataclass
 import math
 
-from .distributions import ExponentialIntegrated, service_moments
+from .distributions import ExponentialIntegrated
 from .errors import UnsupportedModelError
 
 _RESIDUAL_TOL = 1e-12
@@ -74,7 +74,7 @@ def corrected_heavy_traffic(model, rho, x_scaled) -> float:
         raise ValueError(f"x_scaled must be nonnegative, got {x_scaled}")
     if not 0 < rho < 1:
         raise ValueError(f"rho must lie in (0,1), got {rho}")
-    mom = service_moments(model)
+    mom = model.service_moments()
     x = x_scaled
     exponent = (
         -2.0 * x / (1.0 - rho) * mom.ev1 / mom.ev2

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 import math
 
-from .distributions import (
-    IntegratedTailModel,
-    ParetoIntegratedTail,
-    QueueModel,
-    mean_integrated,
-    tail_index,
-)
+from .distributions import IntegratedTailModel, QueueModel
 from .errors import NoCrossingError, UnsupportedModelError
 
 
@@ -47,9 +41,8 @@ class RhoThreshold:
 
 def kappa(model: IntegratedTailModel) -> float:
     """mu (alpha-2); for the built-in Pareto family this equals alpha-1."""
-    tail_index(model)  # raises for variants without a tail index
-    alpha = model.alpha
-    return mean_integrated(model) * (alpha - 2.0)
+    model.tail_index()  # raises for variants without a tail index
+    return model.mean() * (model.alpha - 2.0)
 
 
 def threshold_x(q: QueueModel, c: float = 1.0) -> float:
@@ -98,10 +91,11 @@ def crossing_point(q: QueueModel) -> float:
     """Largest x with heavy_traffic(x) = heavy_tail(x), by bisection on the
     log difference d(x), which increases up to x_peak = (alpha-1) mu /(1-rho)
     and decreases afterwards."""
-    if not isinstance(q.model, ParetoIntegratedTail):
-        raise UnsupportedModelError("crossing requires a power-law tail")
-    alpha = q.model.alpha
-    mu = mean_integrated(q.model)
+    try:
+        index = q.model.tail_index()
+    except UnsupportedModelError:
+        raise UnsupportedModelError("crossing requires a power-law tail") from None
+    mu = q.model.mean()
     rho = q.rho
 
     def log_diff(x):
@@ -109,16 +103,16 @@ def crossing_point(q: QueueModel) -> float:
         return (
             -(1.0 - rho) * x / mu
             - math.log(rho / (1.0 - rho))
-            + (alpha - 1.0) * math.log(x)
+            + index * math.log(x)
         )
 
     x_hi = _X_CAP_MULTIPLE * mu
-    x_peak = (alpha - 1.0) * mu / (1.0 - rho)
+    x_peak = index * mu / (1.0 - rho)
     lo = max(1.0, x_peak)
     if log_diff(lo) <= 0.0:
         raise NoCrossingError(
             f"exponential curve never exceeds the power curve on "
-            f"[{lo:g}, {x_hi:g}] (rho={rho}, alpha={alpha})"
+            f"[{lo:g}, {x_hi:g}] (rho={rho}, alpha={q.model.alpha})"
         )
     if log_diff(x_hi) > 0.0:
         raise NoCrossingError(f"no sign change before x={x_hi:g}")

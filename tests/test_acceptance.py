@@ -30,7 +30,6 @@ from mg1tail import (
     heavy_traffic,
     j_approx,
     lattice_brackets,
-    mean_integrated,
     pk_truncated,
     subexp_sum_approx,
     t_tail,
@@ -167,7 +166,7 @@ def test_criterion_4_deviation_shrinks_toward_saturation():
 def test_criterion_5_convolution_vs_subexponential_form():
     # n-fold convolution tail vs n*P(X1 > x) on both lattice brackets
     model = ParetoIntegratedTail(alpha=3.5)
-    mu = mean_integrated(model)
+    mu = model.mean()
     ok = True
     lo_ratio, hi_ratio = math.inf, -math.inf
     notes = []

@@ -29,7 +29,6 @@ from mg1tail import (
     threshold_x,
 )
 from mg1tail.approx import _QUAD_NODES, _quad_nodes, _sigma
-from mg1tail.distributions import mean_integrated
 
 Q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
 
@@ -136,7 +135,7 @@ def _t_tail_z_per_node(q, x):
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     sigma = _sigma(q)
-    mu = mean_integrated(q.model)
+    mu = q.model.mean()
     rho = q.rho
     u = (np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES
     z = ndtri(u)

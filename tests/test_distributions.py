@@ -2,22 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mg1tail import (
     ExponentialIntegrated,
     Lattice,
     ParetoIntegratedTail,
     QueueModel,
+    ServiceMoments,
     UnsupportedModelError,
-    atom_prob,
     load_lattice_file,
-    mean_integrated,
     parse_model,
     sample_x,
-    service_moments,
-    tail_index,
     tail_prob,
-    variance_integrated,
 )
 
 
@@ -54,9 +51,9 @@ def test_lattice_tail_and_atoms():
     assert tail_prob(lat, 1.0) == 0.25
     assert tail_prob(lat, 1.5) == 0.0
     assert tail_prob(lat, 99.0) == 0.0
-    assert atom_prob(lat, 1.0) == 0.5
-    assert atom_prob(lat, 1.25) == 0.0
-    assert atom_prob(lat, 7.0) == 0.0
+    assert lat.atom_prob(1.0) == 0.5
+    assert lat.atom_prob(1.25) == 0.0
+    assert lat.atom_prob(7.0) == 0.0
 
 
 def test_lattice_suffix_matches_mass():
@@ -76,18 +73,18 @@ def test_lattice_validation():
 
 
 def test_means():
-    assert math.isclose(mean_integrated(ParetoIntegratedTail(alpha=3.5)), 5.0 / 3.0, rel_tol=1e-15)
-    assert math.isclose(mean_integrated(ExponentialIntegrated(rate=4.0)), 0.25, rel_tol=1e-15)
+    assert math.isclose(ParetoIntegratedTail(alpha=3.5).mean(), 5.0 / 3.0, rel_tol=1e-15)
+    assert math.isclose(ExponentialIntegrated(rate=4.0).mean(), 0.25, rel_tol=1e-15)
     lat = Lattice(h=0.5, mass=[0.0, 0.5, 0.0, 0.5])
-    assert math.isclose(mean_integrated(lat), 0.5 * 0.5 + 0.5 * 1.5, rel_tol=1e-15)
+    assert math.isclose(lat.mean(), 0.5 * 0.5 + 0.5 * 1.5, rel_tol=1e-15)
 
 
 def test_variances():
     # E X^2 - (E X)^2 with E X^2 = (a-1)/(a-3)
-    assert math.isclose(variance_integrated(ParetoIntegratedTail(alpha=3.5)), 20.0 / 9.0, rel_tol=1e-12)
-    assert variance_integrated(ParetoIntegratedTail(alpha=3.0)) == math.inf
-    assert variance_integrated(ParetoIntegratedTail(alpha=2.2)) == math.inf
-    assert math.isclose(variance_integrated(ExponentialIntegrated(rate=2.0)), 0.25, rel_tol=1e-15)
+    assert math.isclose(ParetoIntegratedTail(alpha=3.5).variance(), 20.0 / 9.0, rel_tol=1e-12)
+    assert ParetoIntegratedTail(alpha=3.0).variance() == math.inf
+    assert ParetoIntegratedTail(alpha=2.2).variance() == math.inf
+    assert math.isclose(ExponentialIntegrated(rate=2.0).variance(), 0.25, rel_tol=1e-15)
 
 
 def test_sample_x_quantiles():
@@ -113,20 +110,20 @@ def test_sample_tail_consistency():
 
 
 def test_service_moments_exponential_only():
-    mom = service_moments(ExponentialIntegrated(rate=1.0))
+    mom = ExponentialIntegrated(rate=1.0).service_moments()
     assert (mom.ev1, mom.ev2, mom.ev3) == (1.0, 2.0, 6.0)
-    mom = service_moments(ExponentialIntegrated(rate=2.0))
+    mom = ExponentialIntegrated(rate=2.0).service_moments()
     assert math.isclose(mom.ev2, 0.5, rel_tol=1e-15)
     with pytest.raises(UnsupportedModelError):
-        service_moments(ParetoIntegratedTail(alpha=3.5))
+        ParetoIntegratedTail(alpha=3.5).service_moments()
 
 
 def test_tail_index():
-    assert tail_index(ParetoIntegratedTail(alpha=3.5)) == 2.5
+    assert ParetoIntegratedTail(alpha=3.5).tail_index() == 2.5
     with pytest.raises(UnsupportedModelError):
-        tail_index(ExponentialIntegrated(rate=1.0))
+        ExponentialIntegrated(rate=1.0).tail_index()
     with pytest.raises(UnsupportedModelError):
-        tail_index(Lattice(h=1.0, mass=[0.5, 0.5]))
+        Lattice(h=1.0, mass=[0.5, 0.5]).tail_index()
 
 
 def test_parameter_validation():
@@ -165,8 +162,8 @@ def test_load_lattice_file_infers_spacing(tmp_path):
     p.write_text("0.5 0.25\n1.5 0.25\n3.0 0.5\n")
     lat = load_lattice_file(str(p))
     assert lat.h == 0.5
-    assert atom_prob(lat, 3.0) == 0.5
-    assert atom_prob(lat, 1.0) == 0.0
+    assert lat.atom_prob(3.0) == 0.5
+    assert lat.atom_prob(1.0) == 0.0
 
 
 def test_load_lattice_file_errors(tmp_path):
@@ -195,3 +192,144 @@ def test_lattice_mass_is_immutable():
     with pytest.raises(ValueError):
         lat.mass[0] = 0.9
     assert isinstance(lat.support, np.ndarray)
+
+
+# Reference: the scalar formulas as module functions that dispatch on the
+# model type, kept verbatim so the model methods can be checked against them
+# bit for bit.
+
+def ref_tail_prob(model, x) -> float:
+    """P(X > x) for the integrated-tail variable."""
+    if x < 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
+    if isinstance(model, ParetoIntegratedTail):
+        if x < 1.0:
+            return 1.0
+        return x ** (-(model.alpha - 1.0))
+    if isinstance(model, ExponentialIntegrated):
+        return math.exp(-model.rate * x)
+    # lattice: mass strictly above x
+    idx = int(np.searchsorted(model.support, x, side="right"))
+    return float(model.suffix[idx])
+
+
+def ref_atom_prob(model, v: float) -> float:
+    """P(X = v); zero for the atomless variants."""
+    if not isinstance(model, Lattice):
+        return 0.0
+    j = int(round(v / model.h))
+    if 0 <= j < model.mass.size and model.support[j] == v:
+        return float(model.mass[j])
+    return 0.0
+
+
+def ref_mean_integrated(model) -> float:
+    if isinstance(model, ParetoIntegratedTail):
+        a = model.alpha
+        return (a - 1.0) / (a - 2.0)
+    if isinstance(model, ExponentialIntegrated):
+        return 1.0 / model.rate
+    return float(np.sum(model.support * model.mass))
+
+
+def ref_variance_integrated(model) -> float:
+    """Var(X); math.inf marks the infinite-variance regime (2 < alpha <= 3)."""
+    if isinstance(model, ParetoIntegratedTail):
+        a = model.alpha
+        if a <= 3.0:
+            return math.inf
+        ex2 = (a - 1.0) / (a - 3.0)
+        m = (a - 1.0) / (a - 2.0)
+        return ex2 - m * m
+    if isinstance(model, ExponentialIntegrated):
+        return 1.0 / (model.rate * model.rate)
+    m = ref_mean_integrated(model)
+    return float(np.sum((model.support - m) ** 2 * model.mass))
+
+
+def ref_sample_x(model, u: float) -> float:
+    """The u-quantile of X; u near 1 probes the right tail."""
+    if not 0.0 < u < 1.0:
+        raise ValueError(f"u must lie in (0,1), got {u}")
+    if isinstance(model, ParetoIntegratedTail):
+        return (1.0 - u) ** (-1.0 / (model.alpha - 1.0))
+    if isinstance(model, ExponentialIntegrated):
+        return -math.log1p(-u) / model.rate
+    idx = int(np.searchsorted(model.cum, u, side="right"))
+    idx = min(idx, model.mass.size - 1)
+    return float(model.support[idx])
+
+
+def ref_service_moments(model) -> ServiceMoments:
+    """Moments of the service time V itself (only identified for the
+    exponential variant: V ~ Exp(rate))."""
+    if isinstance(model, ExponentialIntegrated):
+        r = model.rate
+        return ServiceMoments(ev1=1.0 / r, ev2=2.0 / r**2, ev3=6.0 / r**3)
+    raise UnsupportedModelError(
+        "service-time moments are only identified for the exponential variant"
+    )
+
+
+def ref_tail_index(model) -> float:
+    """The power alpha-1 governing the integrated tail; errors otherwise."""
+    if isinstance(model, ParetoIntegratedTail):
+        return model.alpha - 1.0
+    raise UnsupportedModelError("model has no regularly varying tail index")
+
+
+def _outcome(fn, *args):
+    """(type, value) of the result, or the error raised, so that == checks
+    the value, the type and the message."""
+    try:
+        v = fn(*args)
+    except (UnsupportedModelError, ValueError) as e:
+        return type(e), str(e)
+    return type(v), v
+
+
+def _lattice(h, weights):
+    w = np.array(weights)
+    return Lattice(h=h, mass=w / w.sum())
+
+
+lattices = st.builds(
+    _lattice,
+    h=st.floats(0.01, 5.0),
+    weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(
+        lambda w: sum(w) > 0),
+)
+scalar_models = st.one_of(
+    st.one_of(st.floats(2.0, 12.0, exclude_min=True),
+              st.sampled_from([2.5, 3.0, 3.5, 5.0])).map(ParetoIntegratedTail),
+    st.floats(0.01, 100.0).map(ExponentialIntegrated),
+    lattices,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=scalar_models, data=st.data())
+def test_scalar_methods_equal_type_dispatch_reference(model, data):
+    points = st.floats(0.0, 1e6)
+    if isinstance(model, Lattice):
+        # lattice points, where the tail steps and the atoms sit
+        points = st.one_of(points, st.sampled_from(list(model.support)))
+    xs = data.draw(st.lists(points, min_size=1, max_size=20))
+    us = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                            min_size=1, max_size=20))
+    vs = data.draw(st.lists(st.one_of(points, st.floats(-10.0, 10.0)),
+                            min_size=1, max_size=20))
+    assert _outcome(model.mean) == _outcome(ref_mean_integrated, model)
+    assert _outcome(model.variance) == _outcome(ref_variance_integrated, model)
+    assert _outcome(model.service_moments) == _outcome(ref_service_moments, model)
+    assert _outcome(model.tail_index) == _outcome(ref_tail_index, model)
+    for x in xs:
+        want = _outcome(ref_tail_prob, model, x)
+        assert _outcome(model.tail_prob, x) == want
+        assert _outcome(tail_prob, model, x) == want
+    for u in us:
+        want = _outcome(ref_sample_x, model, u)
+        assert _outcome(model.sample_x, u) == want
+        assert _outcome(sample_x, model, u) == want
+    for v in vs:
+        assert _outcome(model.atom_prob, v) == _outcome(ref_atom_prob, model, v)

@@ -188,10 +188,10 @@ def scalar_values():
     ``threshold`` CLI output."""
     out = {}
     for name, model in SCALAR_MODELS.items():
-        out[f"{name}/mean"] = _pin(mg1tail.mean_integrated, model)
-        out[f"{name}/variance"] = _pin(mg1tail.variance_integrated, model)
-        out[f"{name}/service_moments"] = _pin(mg1tail.service_moments, model)
-        out[f"{name}/tail_index"] = _pin(mg1tail.tail_index, model)
+        out[f"{name}/mean"] = _pin(model.mean)
+        out[f"{name}/variance"] = _pin(model.variance)
+        out[f"{name}/service_moments"] = _pin(model.service_moments)
+        out[f"{name}/tail_index"] = _pin(model.tail_index)
         out[f"{name}/kappa"] = _pin(mg1tail.kappa, model)
         for x in SCALAR_XS:
             out[f"{name}/tail_prob/{x!r}"] = _pin(mg1tail.tail_prob, model, x)
@@ -203,7 +203,7 @@ def scalar_values():
         for u in SCALAR_US:
             out[f"{name}/sample_x/{u!r}"] = _pin(mg1tail.sample_x, model, u)
         for v in SCALAR_VS:
-            out[f"{name}/atom_prob/{v!r}"] = _pin(mg1tail.atom_prob, model, v)
+            out[f"{name}/atom_prob/{v!r}"] = _pin(model.atom_prob, v)
         for rho in SCALAR_RHOS:
             q = QueueModel(model=model, rho=rho)
             key = f"{name}/{rho!r}"

@@ -7,7 +7,6 @@ from mg1tail import (
     ExponentialIntegrated,
     Lattice,
     ParetoIntegratedTail,
-    atom_prob,
     sample_x,
     tail_prob,
 )
@@ -54,7 +53,7 @@ def test_vector_methods_match_scalar_lattice(us, ts, vs):
     assert np.array_equal(LATTICE.tail(np.array(ts)),
                           [tail_prob(LATTICE, t) for t in ts])
     assert np.array_equal(LATTICE.atom(np.array(vs)),
-                          [atom_prob(LATTICE, v) for v in vs])
+                          [LATTICE.atom_prob(v) for v in vs])
 
 
 @settings(max_examples=25, deadline=None)
