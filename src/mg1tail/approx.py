@@ -47,7 +47,7 @@ class ApproximationPoint:
 
 
 def heavy_traffic(q: QueueModel, x) -> float:
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     mu = q.model.mean()
     return math.exp(-(1.0 - q.rho) * x / mu)
@@ -55,13 +55,13 @@ def heavy_traffic(q: QueueModel, x) -> float:
 
 def heavy_tail(q: QueueModel, x) -> float:
     """Raw asymptote; may exceed 1 at small x (reported unclamped)."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     return q.rho / (1.0 - q.rho) * tail_prob(q.model, x)
 
 
 def big_m(q: QueueModel, x) -> int:
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     try:
         beta = 1.0 / min(2.0, q.model.tail_index())
@@ -94,7 +94,7 @@ def s_sum(q: QueueModel, x) -> float:
 
 
 def geometric_term(q: QueueModel, x) -> float:
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     mu = q.model.mean()
     return q.rho ** (x / mu)
@@ -107,7 +107,7 @@ def h_approx(q: QueueModel, x) -> float:
 def gamma_factor(q: QueueModel, x) -> float:
     """1 - rho^{x/mu}(1 + (1-rho)x/mu); lies in [0,1) since with
     t = (1-rho)x/mu one has rho^{x/mu} <= e^{-t} and e^{-t}(1+t) <= 1."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     mu = q.model.mean()
     g = q.rho ** (x / mu)
@@ -138,7 +138,7 @@ def _phi_tail(u: float) -> float:
 def t_tail(q: QueueModel, x, _tol=_SERIES_TOL) -> float:
     """Series form, truncated at the smallest N with rho^{N+1} < tol (each
     remaining term is at most (1-rho) rho^n)."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     sigma = _sigma(q)
     mu = q.model.mean()
@@ -181,7 +181,7 @@ def t_tail_z(q: QueueModel, x) -> float:
     t(z) = sqrt(x/mu + (sigma z/(2 mu))^2) - sigma z/(2 mu); equals the series
     exactly (Abel summation over P(floor(t(Z)^2) >= n) = Phi((x-n mu)/(sigma
     sqrt(n)))), so the two implementations cross-check each other."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     sigma = _sigma(q)
     mu = q.model.mean()
@@ -220,7 +220,7 @@ def subexp_sum_approx(model: IntegratedTailModel, n: int, x) -> float:
     """n F̄(max(0, x-(n-1)mu)), the one-big-jump surrogate for P(S_n > x)."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     mu = model.mean()
     return n * tail_prob(model, max(0.0, x - (n - 1) * mu))

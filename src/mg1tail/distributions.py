@@ -227,7 +227,7 @@ class QueueModel:
 
 def tail_prob(model: IntegratedTailModel, x) -> float:
     """P(X > x) for the integrated-tail variable."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     return model.tail_prob(x)
 

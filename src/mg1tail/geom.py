@@ -30,7 +30,7 @@ class GeomModel:
 
 def geom_gamma(g: GeomModel, x) -> float:
     """1 - (1-p)^{x/mu} (1 + p x/mu) with mu the summand mean; in [0,1)."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     mu = g.y_model.mean()
     base = (1.0 - g.p) ** (x / mu)
@@ -40,7 +40,7 @@ def geom_gamma(g: GeomModel, x) -> float:
 
 def geom_tail_approx(g: GeomModel, x) -> float:
     """((1-p)/p) gamma(x) P(Y > x) + (1-p)^{x/mu}."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     mu = g.y_model.mean()
     base = (1.0 - g.p) ** (x / mu)

@@ -176,7 +176,7 @@ def pk_truncated(q: QueueModel, x, tol: float = 1e-10, h: float = 0.05) -> PkExa
     """Bracketed evaluation of P(W > x); ``value`` is the bracket midpoint,
     ``lower``/``upper`` the rigorous enclosure (upper includes the series
     remainder rho^{N+1})."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")

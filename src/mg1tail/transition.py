@@ -65,7 +65,7 @@ def threshold_rho(model: IntegratedTailModel, x, c: float = 1.0) -> RhoThreshold
 def regime_classify(q: QueueModel, x, delta: float = 0.1) -> RegimeReport:
     """Implied c = x(1-rho)/(kappa log((1-rho)^{-1})); heavy traffic below
     1-delta, heavy tail above 1+delta, transition otherwise."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     k = kappa(q.model)
     inv = 1.0 / (1.0 - q.rho)

@@ -9,18 +9,25 @@ from scipy.special import ndtri
 
 from mg1tail import (
     ExponentialIntegrated,
+    GeomModel,
     ParetoIntegratedTail,
     QueueModel,
     UnsupportedModelError,
     approximation_point,
     big_m,
+    corrected_heavy_traffic,
+    cramer_lundberg_tail,
     gamma_factor,
+    geom_gamma,
+    geom_tail_approx,
     geometric_term,
     h_approx,
     h_clt,
     heavy_tail,
     heavy_traffic,
     j_approx,
+    pk_truncated,
+    regime_classify,
     s_sum,
     subexp_sum_approx,
     t_tail,
@@ -229,3 +236,30 @@ def test_negative_x_rejected():
                geometric_term, t_tail, t_tail_z):
         with pytest.raises(ValueError):
             fn(Q, -1.0)
+
+
+_G = GeomModel(y_model=ParetoIntegratedTail(alpha=4.0), p=0.2)
+_EXP = ExponentialIntegrated(rate=1.0)
+_NAN_GUARDED = {
+    "tail_prob": lambda x: tail_prob(Q.model, x),
+    "heavy_traffic": lambda x: heavy_traffic(Q, x),
+    "heavy_tail": lambda x: heavy_tail(Q, x),
+    "big_m": lambda x: big_m(Q, x),
+    "geometric_term": lambda x: geometric_term(Q, x),
+    "gamma_factor": lambda x: gamma_factor(Q, x),
+    "t_tail": lambda x: t_tail(Q, x),
+    "t_tail_z": lambda x: t_tail_z(Q, x),
+    "subexp_sum_approx": lambda x: subexp_sum_approx(Q.model, 2, x),
+    "pk_truncated": lambda x: pk_truncated(Q, x),
+    "regime_classify": lambda x: regime_classify(Q, x),
+    "geom_gamma": lambda x: geom_gamma(_G, x),
+    "geom_tail_approx": lambda x: geom_tail_approx(_G, x),
+    "cramer_lundberg_tail": lambda x: cramer_lundberg_tail(_EXP, 0.5, x),
+    "corrected_heavy_traffic": lambda x: corrected_heavy_traffic(_EXP, 0.5, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_GUARDED))
+def test_nan_x_rejected(name):
+    with pytest.raises(ValueError, match="must be nonnegative, got nan"):
+        _NAN_GUARDED[name](math.nan)

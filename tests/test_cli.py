@@ -80,6 +80,9 @@ def test_exit_code_usage(capsys):
                   "--rho", "0.8", "--x", "1", "--method", "ht")
     assert code == 2
     assert main(["approx", "--method", "bogus"]) == 2
+    code, _ = run(capsys, "approx", "--dist", "pareto-it:alpha=3.5",
+                  "--rho", "0.8", "--x", "nan", "--method", "ht")
+    assert code == 2
     for cmd in ("simulate", "compare"):
         code, _ = run(capsys, cmd, "--dist", "exp:rate=1", "--rho", "0.5",
                       "--x", "2", "--max-samples", "0")
