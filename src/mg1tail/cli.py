@@ -62,7 +62,19 @@ from .transition import (
     threshold_x,
 )
 
-_METHODS = ("ht", "tail", "h", "j", "h-clt", "cl", "corrected-ht", "geom")
+_METHODS = {
+    "ht": heavy_traffic,
+    "tail": heavy_tail,
+    "h": h_approx,
+    "j": j_approx,
+    "h-clt": h_clt,
+    "cl": lambda q, x: cramer_lundberg_tail(q.model, q.rho, x),
+    "corrected-ht": lambda q, x: corrected_heavy_traffic(q.model, q.rho, x),
+    # same formula with p = 1 - rho
+    "geom": lambda q, x: geom_tail_approx(
+        GeomModel(y_model=q.model, p=1.0 - q.rho), x
+    ),
+}
 
 
 def _fmt(v) -> str:
@@ -109,26 +121,9 @@ def _print_estimate(est):
 def cmd_approx(args) -> int:
     _require(args, "dist", "rho", "x", "method")
     q = _queue(args)
-    x = args.x
-    if args.method == "ht":
-        value = heavy_traffic(q, x)
-    elif args.method == "tail":
-        value = heavy_tail(q, x)
-    elif args.method == "h":
-        value = h_approx(q, x)
-    elif args.method == "j":
-        value = j_approx(q, x)
-    elif args.method == "h-clt":
-        value = h_clt(q, x)
-    elif args.method == "cl":
-        value = cramer_lundberg_tail(q.model, q.rho, x)
-    elif args.method == "corrected-ht":
-        value = corrected_heavy_traffic(q.model, q.rho, x)
-    else:  # geom: same formula with p = 1 - rho
-        g = GeomModel(y_model=q.model, p=1.0 - q.rho)
-        value = geom_tail_approx(g, x)
+    value = _METHODS[args.method](q, args.x)
     print(f"value {_fmt(value)}")
-    print(f"regime {_regime_string(q, x)}")
+    print(f"regime {_regime_string(q, args.x)}")
     return 0
 
 
