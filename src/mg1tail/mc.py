@@ -183,24 +183,19 @@ def pk_truncated(q: QueueModel, x, tol: float = 1e-10, h: float = 0.05) -> PkExa
     rho = q.rho
     n_terms = math.ceil(math.log(tol) / math.log(rho))
     bound = rho ** (n_terms + 1)
-    if isinstance(q.model, Lattice):
+    lattice = isinstance(q.model, Lattice)  # a lattice is its own bracket
+    if lattice:
         h = q.model.h
-        m = _cap_index(x, h)
-        if n_terms * (m + 1) > _CELL_BUDGET:
-            raise ResourceBudgetError(
-                f"series needs {n_terms * (m + 1)} lattice cells, "
-                f"budget is {_CELL_BUDGET}"
-            )
-        pmf = _capped_pmf(q.model.mass, m)
-        lo = _pk_series(pmf, m, rho, n_terms)
+    m = _cap_index(x, h)
+    if n_terms * (m + 1) > _CELL_BUDGET:
+        raise ResourceBudgetError(
+            f"series needs {n_terms * (m + 1)} lattice cells, "
+            f"budget is {_CELL_BUDGET}"
+        )
+    if lattice:
+        lo = _pk_series(_capped_pmf(q.model.mass, m), m, rho, n_terms)
         up = lo + bound
     else:
-        m = _cap_index(x, h)
-        if n_terms * (m + 1) > _CELL_BUDGET:
-            raise ResourceBudgetError(
-                f"series needs {n_terms * (m + 1)} lattice cells, "
-                f"budget is {_CELL_BUDGET}"
-            )
         lat_lo, lat_up = lattice_brackets(q.model, h, x)
         lo = _pk_series(lat_lo.mass, m, rho, n_terms)
         up = _pk_series(lat_up.mass, m, rho, n_terms) + bound
