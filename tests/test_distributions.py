@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mg1tail import (
     ExponentialIntegrated,
@@ -308,17 +308,19 @@ scalar_models = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(model=scalar_models, data=st.data())
-def test_scalar_methods_equal_type_dispatch_reference(model, data):
-    points = st.floats(0.0, 1e6)
-    if isinstance(model, Lattice):
-        # lattice points, where the tail steps and the atoms sit
-        points = st.one_of(points, st.sampled_from(list(model.support)))
-    xs = data.draw(st.lists(points, min_size=1, max_size=20))
-    us = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                            min_size=1, max_size=20))
-    vs = data.draw(st.lists(st.one_of(points, st.floats(-10.0, 10.0)),
-                            min_size=1, max_size=20))
+@given(
+    model=scalar_models,
+    xs=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20),
+    us=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=20),
+    vs=st.lists(st.floats(-10.0, 1e6), min_size=1, max_size=20),
+)
+# 2.1/0.7 rounds to just below 3, so the atom index must be rounded, not cut
+@example(model=Lattice(h=0.7, mass=[0.25] * 4), xs=[0.0], us=[0.5], vs=[0.0])
+def test_scalar_methods_equal_type_dispatch_reference(model, xs, us, vs):
+    # every lattice point, where the tail steps and the atoms sit
+    grid = list(model.support) if isinstance(model, Lattice) else []
+    xs, vs = grid + xs, grid + vs
     assert _outcome(model.mean) == _outcome(ref_mean_integrated, model)
     assert _outcome(model.variance) == _outcome(ref_variance_integrated, model)
     assert _outcome(model.service_moments) == _outcome(ref_service_moments, model)
