@@ -18,17 +18,18 @@ Variants:
   convolution oracles and estimator-unbiasedness tests have exactly
   enumerable ground truth.
 
-Each model owns its formulas, in two forms.  The scalar methods
-(``tail_prob``, ``sample_x``, ``atom_prob``, ``mean``, ``variance`` and, where
-defined, ``tail_index``/``service_moments``) use Python floats and libm; the
-closed-form approximations call them once per term.  The vector methods
-(``quantile``, ``tail``, and ``atom`` on the lattice) use numpy for the batch
-kernels.  Neither form can stand in for the other: a 0-d numpy call is ~20x
-slower than the scalar one, and numpy's SIMD pow/exp differ from libm by 1-2
-ulp, which would change the deterministic tables.  ``IntegratedTailModel``
-supplies what a variant lacks: no atoms, and an ``UnsupportedModelError`` for
-a tail index or service moments it does not identify.  The module functions
-``tail_prob`` and ``sample_x`` only check their argument before calling the
+Each model owns its formulas in two forms, side by side.  The scalar methods
+(``tail_prob``, ``sample_x``, ``atom_prob``, ``mean``, ``variance``, and
+``tail_index``/``service_moments`` where the model identifies them) use
+Python floats and libm; the closed-form approximations call them once per
+term.  The vector methods (``quantile``, ``tail``, and ``atom`` on the
+lattice) use numpy for the batch kernels.  One form cannot serve both: a 0-d
+numpy call is ~20x slower than the scalar one, and numpy's SIMD pow/exp
+differ from libm by 1-2 ulp, which would change the deterministic tables.
+There is no dispatch on the model type here; ``IntegratedTailModel`` gives
+the defaults (no atoms, and ``UnsupportedModelError`` for a tail index or
+service moments the model does not identify), and the module functions
+``tail_prob``/``sample_x`` only check their argument before calling the
 method.
 """
 

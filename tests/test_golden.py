@@ -146,7 +146,7 @@ SCALAR_RHOS = (0.3, 0.8, 0.95, 0.99)
 SCALAR_XS = (0.0, 0.5, 0.9, 0.999, 1.0, 1.5, 2.0, 3.25, 5.0, 10.0, 17.3, 40.0,
              100.0, 1000.0, 1e4)
 SCALAR_US = (1e-9, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0 - 1e-9)
-# lattice points (0.9 is not one: the third point is 3*0.3 = 0.8999...)
+# lattice points and others; 0.9 is not one, since 3*0.3 is 0.8999...
 SCALAR_VS = (-0.3, 0.0, 0.3, 0.6, 0.9, 0.45, 1.2, 1.5, 7.0)
 QUEUE_FNS = ("heavy_traffic", "heavy_tail", "big_m", "s_sum", "geometric_term",
              "h_approx", "gamma_factor", "j_approx", "t_tail", "t_tail_z",
