@@ -101,8 +101,9 @@ class ParetoIntegratedTail(IntegratedTailModel):
     def tail_index(self) -> float:
         return self.alpha - 1.0
 
-    def quantile(self, u):
-        return (1.0 - u) ** (-1.0 / (self.alpha - 1.0))
+    def quantile(self, u, out=None):
+        out = np.subtract(1.0, u, out=out)
+        return np.power(out, -1.0 / (self.alpha - 1.0), out=out)
 
     def tail(self, t):
         out = np.ones_like(t)
@@ -135,8 +136,10 @@ class ExponentialIntegrated(IntegratedTailModel):
         r = self.rate
         return ServiceMoments(ev1=1.0 / r, ev2=2.0 / r**2, ev3=6.0 / r**3)
 
-    def quantile(self, u):
-        return -np.log1p(-u) / self.rate
+    def quantile(self, u, out=None):
+        out = np.log1p(np.negative(u, out=out), out=out)
+        np.negative(out, out=out)
+        return np.divide(out, self.rate, out=out)
 
     def tail(self, t):
         return np.exp(-self.rate * t)
@@ -172,8 +175,8 @@ class Lattice(IntegratedTailModel):
         return float(self.suffix[idx])
 
     def sample_x(self, u: float) -> float:
+        # cum[-1] is exactly 1.0 and sample_x checks u < 1, so idx < size
         idx = int(np.searchsorted(self.cum, u, side="right"))
-        idx = min(idx, self.mass.size - 1)
         return float(self.support[idx])
 
     def atom_prob(self, v: float) -> float:
@@ -189,10 +192,11 @@ class Lattice(IntegratedTailModel):
         m = self.mean()
         return float(np.sum((self.support - m) ** 2 * self.mass))
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
+        # the kernels' largest uniform rounds to exactly 1.0 = cum[-1], where
+        # searchsorted returns size; "clip" maps it to the top point
         idx = np.searchsorted(self.cum, u, side="right")
-        np.minimum(idx, self.support.size - 1, out=idx)
-        return self.support[idx]
+        return np.take(self.support, idx, out=out, mode="clip")
 
     def tail(self, t):
         return self.suffix[np.searchsorted(self.support, t, side="right")]

@@ -1,6 +1,10 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mg1tail import (
@@ -10,7 +14,7 @@ from mg1tail import (
     sample_x,
     tail_prob,
 )
-from mg1tail import kernels
+from mg1tail import kernels, rng
 
 MODELS = [
     ParetoIntegratedTail(alpha=3.5),
@@ -88,3 +92,211 @@ def test_count_offset_shifts_geometric_count():
     hits1, _ = kernels.crude_batch(model, 0.5, x, 5, 0, 20_000, n_offset=1)
     assert hits0 < 20_000
     assert hits1 == 20_000
+
+
+# --- reference: the whole-batch kernels, verbatim but for the names, with
+# the finalizer and the quantiles as they were before the kernels ran in
+# chunks on reused buffers --------------------------------------------------
+
+_MASK = 0xFFFFFFFFFFFFFFFF
+_INV53 = 2.0 ** -53
+GOLD_U64 = np.uint64(0x9E3779B97F4A7C15)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+
+
+def _ref_mix64(z):
+    z = (z ^ (z >> np.uint64(30))) * _M1
+    z = (z ^ (z >> np.uint64(27))) * _M2
+    return z ^ (z >> np.uint64(31))
+
+
+def _ref_states(seed, reps):
+    return _ref_mix64(np.uint64(seed & _MASK) + reps.astype(np.uint64) * GOLD_U64)
+
+
+def _ref_uniforms(states, j):
+    z = _ref_mix64(states + (j + np.uint64(1)) * GOLD_U64)
+    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * _INV53
+
+
+def _ref_quantile(model, u):
+    if isinstance(model, ParetoIntegratedTail):
+        return (1.0 - u) ** (-1.0 / (model.alpha - 1.0))
+    if isinstance(model, ExponentialIntegrated):
+        return -np.log1p(-u) / model.rate
+    idx = np.searchsorted(model.cum, u, side="right")
+    np.minimum(idx, model.support.size - 1, out=idx)
+    return model.support[idx]
+
+
+def _ref_counts(rho, seed, rep0, nreps, n_offset):
+    reps = (np.uint64(rep0) + np.arange(nreps, dtype=np.uint64))
+    states = _ref_states(int(seed), reps)
+    u0 = _ref_uniforms(states, np.zeros(nreps, dtype=np.uint64))
+    n = np.floor(np.log(u0) / math.log(rho)).astype(np.int64) + n_offset
+    return states, n
+
+
+def _ref_draws(model, states, counts):
+    total = int(counts.sum())
+    rep_idx = np.repeat(np.arange(counts.size), counts)
+    seg_start = np.cumsum(counts) - counts
+    j = np.arange(total, dtype=np.int64) - seg_start[rep_idx] + 1
+    us = _ref_uniforms(states[rep_idx], j.astype(np.uint64))
+    return rep_idx, _ref_quantile(model, us)
+
+
+def _ref_ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
+    states, n = _ref_counts(rho, seed, rep0, nreps, n_offset)
+    rep_idx, xs = _ref_draws(model, states, np.maximum(n - 1, 0))
+    s = np.bincount(rep_idx, weights=xs, minlength=nreps)
+    m = np.zeros(nreps)
+    np.maximum.at(m, rep_idx, xs)
+    lattice = isinstance(model, Lattice)
+    if lattice:
+        ties = np.bincount(rep_idx, weights=(xs == m[rep_idx]), minlength=nreps)
+        extra = n * model.atom(m) / (ties + 1.0)
+    grid = np.ndim(x) > 0
+    sums = []
+    for xi in (x if grid else [x]):
+        t = np.maximum(m, xi - s)
+        v = np.where(n >= 1, n * model.tail(t), 0.0)
+        if lattice:
+            v = v + np.where((n >= 1) & (s + m > xi), extra, 0.0)
+        sums.append((float(v.sum()), float((v * v).sum())))
+    return sums if grid else sums[0]
+
+
+def _ref_crude_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
+    states, n = _ref_counts(rho, seed, rep0, nreps, n_offset)
+    rep_idx, xs = _ref_draws(model, states, np.maximum(n, 0))
+    w = np.bincount(rep_idx, weights=xs, minlength=nreps)
+    hits = float(np.count_nonzero(w > x))
+    return hits, hits
+
+
+def _ref_sums(model, rho, seed, rep0, nreps, n_offset, drop):
+    """Per-replication sums of the reference draws (drop 1: conditional
+    estimator, drop 0: crude)."""
+    states, n = _ref_counts(rho, seed, rep0, nreps, n_offset)
+    rep_idx, xs = _ref_draws(model, states, np.maximum(n - drop, 0))
+    return np.bincount(rep_idx, weights=xs, minlength=nreps)
+
+
+# lattices with several points of positive mass, so the maxima tie often
+random_lattices = st.builds(
+    lambda h, w: Lattice(h=h, mass=np.array(w, dtype=float) / sum(w)),
+    st.sampled_from([0.25, 0.5, 1.0, 0.3]),
+    st.lists(st.integers(0, 5), min_size=1, max_size=6).map(lambda w: w + [1]),
+)
+any_model = st.one_of(
+    st.floats(2.05, 8.0).map(ParetoIntegratedTail),
+    st.floats(0.1, 10.0).map(ExponentialIntegrated),
+    random_lattices,
+)
+x_values = st.one_of(st.floats(0.0, 60.0), st.integers(0, 80).map(lambda k: 0.25 * k))
+
+
+# With a chunk of a few draws, a batch spans many chunks and most
+# replications straddle a chunk edge; ties between a lattice maximum found
+# in one chunk and draws in the next are counted across the edge.  The x
+# include 2S per replication (then x - S = S is exact, so the tail sees the
+# last bit of S) and each crude sum, so a replication's sum taken in another
+# order than one pass over its draws shows in the results.
+@settings(max_examples=80, deadline=None)
+@given(model=any_model,
+       rho=st.one_of(st.floats(0.01, 0.999), st.sampled_from([0.9, 0.99, 0.999])),
+       seed=st.integers(0, 2**64 - 1), rep0=st.integers(0, 2**40),
+       nreps=st.integers(0, 12), n_offset=st.sampled_from([0, 1]),
+       chunk=st.integers(1, 24), x=x_values, xs=st.lists(x_values, max_size=5))
+def test_chunked_kernels_equal_whole_batch_reference(model, rho, seed, rep0, nreps,
+                                                     n_offset, chunk, x, xs):
+    args = (model, rho)
+    tail = (seed, rep0, nreps, n_offset)
+    xs = xs + [2.0 * v for v in _ref_sums(*args, *tail, 1)]
+    crude_xs = [x] + list(_ref_sums(*args, *tail, 0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "CHUNK_DRAWS", chunk)
+        got = (kernels.ak_batch(*args, x, *tail), kernels.ak_batch(*args, xs, *tail),
+               [kernels.crude_batch(*args, xi, *tail) for xi in crude_xs])
+    assert got == (_ref_ak_batch(*args, x, *tail), _ref_ak_batch(*args, xs, *tail),
+                   [_ref_crude_batch(*args, xi, *tail) for xi in crude_xs])
+
+
+@pytest.mark.parametrize("model", MODELS, ids=["pareto", "exp", "lattice"])
+def test_full_chunks_equal_whole_batch_reference(model):
+    # about 2.5e5 draws: two full chunks of the default size and a partial one
+    for rho, nreps in ((0.999, 250), (0.9, 30_000)):
+        for n_offset in (0, 1):
+            a = (model, rho, [0.0, 3.0, 40.0], 2**64 - 1, 5, nreps, n_offset)
+            assert kernels.ak_batch(*a) == _ref_ak_batch(*a)
+            c = (model, rho, 40.0, 11, 5, nreps, n_offset)
+            assert kernels.crude_batch(*c) == _ref_crude_batch(*c)
+
+
+def test_threads_get_serial_results(monkeypatch):
+    # each thread has its own buffers; shared ones would mix the threads' draws
+    monkeypatch.setattr(kernels, "CHUNK_DRAWS", 64)
+    jobs = [(model, 0.95, [1.0, 10.0], seed, 0, 200)
+            for seed in range(4) for model in MODELS]
+    serial = [kernels.ak_batch(*job) for job in jobs]
+    results = [None] * 4
+    errors = []
+
+    def work(k):
+        try:
+            results[k] = [kernels.ak_batch(*job) for job in jobs]
+        except Exception as e:  # reported by the assertion below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert results == [serial] * 4
+
+
+@pytest.mark.parametrize("model, rho", [(MODELS[0], 0.9999), (MODELS[2], 0.999)],
+                         ids=["pareto", "lattice"])
+def test_batch_memory_is_bounded_by_the_chunk(model, rho, monkeypatch):
+    # about 1e7 Pareto / 1e6 lattice draws; whole-batch arrays would take
+    # ~56 bytes per draw
+    nreps = 1_000
+    monkeypatch.setattr(kernels, "_local", threading.local())  # fresh buffers
+    tracemalloc.start()
+    try:
+        kernels.ak_batch(model, rho, [1.0, 10.0], 3, 0, nreps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * kernels.CHUNK_DRAWS + 256 * nreps
+
+
+def test_top_uniform_maps_to_top_lattice_point():
+    # cum[-1] is exactly 1.0, so a u < 1 never passes the last point ...
+    lat = Lattice(h=0.1, mass=[0.1] * 10)
+    assert lat.cum[-1] == 1.0
+    assert sample_x(lat, 1.0 - 2.0**-53) == lat.support[-1]
+    # ... but the largest kernel uniform rounds to exactly 1.0: find the
+    # counter whose mixed value is all ones by undoing the finalizer
+    z = _MASK
+    for shift, mult in ((31, None), (27, int(_M2)), (30, int(_M1))):
+        if mult is not None:
+            z = z * pow(mult, -1, 2**64) & _MASK
+        y = z
+        for _ in range(64 // shift + 1):
+            y = z ^ (y >> shift)
+        z = y
+    z = np.array([z], dtype=np.uint64)
+    u = rng.uniforms_inplace(z, np.empty_like(z))
+    assert u[0] == 1.0
+    assert lat.quantile(u)[0] == lat.support[-1]

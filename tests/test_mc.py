@@ -24,8 +24,7 @@ from mg1tail import (
     pk_truncated,
     tail_prob,
 )
-from mg1tail import mc
-from mg1tail.kernels import _counts, _draws
+from mg1tail import mc, rng
 
 TWO_POINT = Lattice(h=1.0, mass=[0.0, 0.5, 0.5])
 
@@ -171,6 +170,26 @@ def test_ak_stop_rule():
     capped = ak_estimate(q, 10.0, target_rel_err=1e-9, seed=1, max_samples=60_000)
     assert not capped.converged
     assert capped.n_samples == 60_000
+
+
+# Verbatim copy of the whole-batch draw helpers that the chunked kernels
+# replaced, so that the per-x reference below does not run the chunk loop.
+def _counts(rho, seed, rep0, nreps, n_offset):
+    reps = (np.uint64(rep0) + np.arange(nreps, dtype=np.uint64))
+    states = rng.substream_states_np(int(seed), reps)
+    u0 = rng.uniforms_np(states, np.zeros(nreps, dtype=np.uint64))
+    n = np.floor(np.log(u0) / math.log(rho)).astype(np.int64) + n_offset
+    return states, n
+
+
+def _draws(model, states, counts):
+    """All summand draws, flattened, plus the replication index per draw."""
+    total = int(counts.sum())
+    rep_idx = np.repeat(np.arange(counts.size), counts)
+    seg_start = np.cumsum(counts) - counts
+    j = np.arange(total, dtype=np.int64) - seg_start[rep_idx] + 1
+    us = rng.uniforms_np(states[rep_idx], j.astype(np.uint64))
+    return rep_idx, model.quantile(us)
 
 
 def _ak_batch_per_x(model, rho, x, seed, rep0, nreps, n_offset=0):
