@@ -8,8 +8,8 @@ Subcommands:
   compare    side-by-side table of all methods against Monte Carlo
   geom       geometric-sum threshold report
 
-Exit codes: 0 success, 2 usage error, 3 unsupported model/method
-combination, 4 output I/O failure.
+Exit codes: 0 success, 2 usage error (also an input whose result overflows
+a float), 3 unsupported model/method combination, 4 output I/O failure.
 
 The env var MG1_SEED supplies the default --seed.  An optional
 ``--config PATH`` file of ``key = value`` lines supplies defaults for any
@@ -455,6 +455,9 @@ def main(argv=None) -> int:
         return 4
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OverflowError as e:
+        print(f"error: result overflows a float ({e})", file=sys.stderr)
         return 2
 
 

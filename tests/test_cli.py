@@ -83,6 +83,10 @@ def test_exit_code_usage(capsys):
     code, _ = run(capsys, "approx", "--dist", "pareto-it:alpha=3.5",
                   "--rho", "0.8", "--x", "nan", "--method", "ht")
     assert code == 2
+    # exp(x/(2 rate) - rate x/(1-rho)) overflows: one error line, no traceback
+    assert main(["approx", "--dist", "exp:rate=0.3", "--rho", "0.3",
+                 "--x", "10000", "--method", "corrected-ht"]) == 2
+    assert capsys.readouterr().err == "error: result overflows a float (math range error)\n"
     for cmd in ("simulate", "compare"):
         code, _ = run(capsys, cmd, "--dist", "exp:rate=1", "--rho", "0.5",
                       "--x", "2", "--max-samples", "0")
