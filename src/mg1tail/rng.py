@@ -2,7 +2,7 @@
 
 One substream per replication: replication ``rep`` of a run seeded with
 ``seed`` has initial state ``mix64(seed + rep*GOLD)`` and its j-th uniform is
-``mix64(state0 + (j+1)*GOLD)`` mapped to (0, 1).  Because every draw is a pure
+``mix64(state0 + (j+1)*GOLD)`` mapped to (0, 1].  Because every draw is a pure
 function of (seed, rep, j), batch partitioning never changes any
 replication's draws.
 
