@@ -202,8 +202,8 @@ x_values = st.one_of(st.floats(0.0, 60.0), st.integers(0, 80).map(lambda k: 0.25
 # replications straddle a chunk edge; ties between a lattice maximum found
 # in one chunk and draws in the next are counted across the edge.  The x
 # include 2S per replication (then x - S = S is exact, so the tail sees the
-# last bit of S) and each crude sum, so a replication's sum taken in another
-# order than one pass over its draws shows in the results.
+# last bit of S) and the crude sums of the first three replications, so a
+# sum taken in another order than one pass over its draws shows.
 @settings(max_examples=80, deadline=None)
 @given(model=any_model,
        rho=st.one_of(st.floats(0.01, 0.999), st.sampled_from([0.9, 0.99, 0.999])),
@@ -215,7 +215,7 @@ def test_chunked_kernels_equal_whole_batch_reference(model, rho, seed, rep0, nre
     args = (model, rho)
     tail = (seed, rep0, nreps, n_offset)
     xs = xs + [2.0 * v for v in _ref_sums(*args, *tail, 1)]
-    crude_xs = [x] + list(_ref_sums(*args, *tail, 0))
+    crude_xs = [x] + list(_ref_sums(*args, *tail, 0)[:3])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "CHUNK_DRAWS", chunk)
         got = (kernels.ak_batch(*args, x, *tail), kernels.ak_batch(*args, xs, *tail),
