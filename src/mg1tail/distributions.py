@@ -106,10 +106,7 @@ class ParetoIntegratedTail(IntegratedTailModel):
         return np.power(out, -1.0 / (self.alpha - 1.0), out=out)
 
     def tail(self, t):
-        out = np.ones_like(t)
-        big = t >= 1.0
-        out[big] = t[big] ** (-(self.alpha - 1.0))
-        return out
+        return np.power(np.maximum(t, 1.0), -(self.alpha - 1.0))
 
 
 @dataclass(frozen=True)
@@ -193,8 +190,8 @@ class Lattice(IntegratedTailModel):
         return float(np.sum((self.support - m) ** 2 * self.mass))
 
     def quantile(self, u, out=None):
-        # the kernels' largest uniform rounds to exactly 1.0 = cum[-1], where
-        # searchsorted returns size; "clip" maps it to the top point
+        # u = cum[-1] = 1.0 would make searchsorted return size; "clip" maps
+        # it to the top point (the kernels' uniforms stay below 1.0)
         idx = np.searchsorted(self.cum, u, side="right")
         return np.take(self.support, idx, out=out, mode="clip")
 

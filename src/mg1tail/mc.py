@@ -1,18 +1,19 @@
 """Ground truth for the waiting-time tail: exact lattice evaluation of the
-geometric-mixture series and two Monte Carlo estimators.
+Pollaczek-Khinchine formula and two Monte Carlo estimators.
 
 The waiting time is a compound geometric sum: W = X_1 + ... + X_N with
-P(N = n) = (1-rho) rho^n, n >= 0.  Its tail P(W > x) = sum over n of
-(1-rho) rho^n P(S_n > x) is evaluated three ways:
+P(N = n) = (1-rho) rho^n, n >= 0.  Its tail P(W > x) is evaluated three ways:
 
 * ``pk_truncated`` -- bracketed enclosure: the model is sandwiched between
   two lattice distributions (mass of ((k-1)h, kh] moved to kh for the upper
-  bracket and to (k-1)h for the lower), each evaluated exactly by running
-  discrete convolution with an absorbing cap above x, the series truncated at
-  N terms with remainder <= rho^{N+1}.  The enclosure is rigorous up to
-  ordinary float rounding of the convolution/series accumulation (~1e-15
-  relative; no interval arithmetic), so treat the brackets as sharp only to
-  that resolution;
+  bracket and to (k-1)h for the lower), each evaluated exactly by the tail
+  (defective-renewal) form of Panjer's recursion,
+  T_k = rho/(1 - rho f_0) (Fbar_k + sum_{j=1..k} f_j T_{k-j}), with
+  T_k = P(W > kh), f the lattice pmf and Fbar_k = P(X > kh).  One pass over
+  k < m gives P(W > x) = T_{m-1} with no series and no truncation term.
+  Every term is positive, so there is no cancellation: the enclosure is
+  rigorous up to ordinary float rounding of positive sums (no interval
+  arithmetic), so treat the brackets as sharp only to that resolution;
 * ``crude_mc`` -- plain indicator sampling of W;
 * ``ak_estimate`` -- the conditional (max-hiding) estimator with a
   relative-error stopping rule; on lattice models an atom correction keeps it
@@ -43,8 +44,10 @@ from .geom import GeomModel
 
 BATCH_SIZE = 10_000
 MIN_SAMPLES_BEFORE_CHECK = 100_000
-# convolution budget: product of series length and lattice size
+# convolution budget: product of convolution count and lattice size
 _CELL_BUDGET = 200_000_000
+# recursion budget: multiply-adds of both bracket passes, about m*m
+_MAC_BUDGET = 4_000_000_000
 
 
 class Method(Enum):
@@ -66,8 +69,6 @@ class SimulationEstimate:
 @dataclass(frozen=True)
 class PkExact:
     value: float
-    truncation_n: int
-    truncation_bound: float
     lattice_spacing: float
     lower: float
     upper: float
@@ -156,57 +157,40 @@ def convolve_tail(dist: Lattice, n: int, x) -> float:
     return float(convolve_tail_grid(dist, n, [x])[0])
 
 
-def _pk_series(pmf: np.ndarray, m: int, rho: float, n_terms: int) -> float:
-    """sum_{n=1}^{N} (1-rho) rho^n P(S_n > x) where index m is the absorbing
-    cap (all mass there is > x)."""
-    acc = 0.0
-    weight = (1.0 - rho) * rho
-    cur = pmf.copy()
-    for n in range(1, n_terms + 1):
-        acc += weight * cur[m]
-        weight *= rho
-        if n < n_terms:
-            cur = np.convolve(cur, pmf)
-            cur[m] += cur[m + 1 :].sum()
-            cur = cur[: m + 1]
-    return acc
+def _renewal_tail(pmf: np.ndarray, rho: float) -> float:
+    """P(W > (m-1)h) for the lattice pmf f capped at index m = pmf.size - 1,
+    by T_k = rho/(1 - rho f_0) (Fbar_k + sum_{j=1..k} f_j T_{k-j}), k < m."""
+    m = pmf.size - 1
+    fbar = np.cumsum(pmf[::-1])[::-1][1:]  # fbar[k] = sum_{j>k} f_j
+    f_rev = np.ascontiguousarray(pmf[m - 1 : 0 : -1])  # f_{m-1}, ..., f_1
+    c = rho / (1.0 - rho * pmf[0])
+    t = np.empty(m)
+    for k in range(m):
+        t[k] = c * (fbar[k] + np.dot(f_rev[m - 1 - k :], t[:k]))
+    return t[m - 1]
 
 
 def pk_truncated(q: QueueModel, x, tol: float = 1e-10, h: float = 0.05) -> PkExact:
     """Bracketed evaluation of P(W > x); ``value`` is the bracket midpoint,
-    ``lower``/``upper`` the rigorous enclosure (upper includes the series
-    remainder rho^{N+1})."""
+    ``lower``/``upper`` the rigorous enclosure.  A lattice model is its own
+    bracket, so lower == upper.  ``tol`` must be positive but does not change
+    the result: the recursion has no truncation term."""
     if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    rho = q.rho
-    n_terms = math.ceil(math.log(tol) / math.log(rho))
-    bound = rho ** (n_terms + 1)
-    lattice = isinstance(q.model, Lattice)  # a lattice is its own bracket
+    lattice = isinstance(q.model, Lattice)
     if lattice:
         h = q.model.h
     m = _cap_index(x, h)
-    if n_terms * (m + 1) > _CELL_BUDGET:
+    if m * m > _MAC_BUDGET:
         raise ResourceBudgetError(
-            f"series needs {n_terms * (m + 1)} lattice cells, "
-            f"budget is {_CELL_BUDGET}"
+            f"recursion needs {m * m} multiply-adds, budget is {_MAC_BUDGET}"
         )
-    if lattice:
-        lo = _pk_series(_capped_pmf(q.model.mass, m), m, rho, n_terms)
-        up = lo + bound
-    else:
-        lat_lo, lat_up = lattice_brackets(q.model, h, x)
-        lo = _pk_series(lat_lo.mass, m, rho, n_terms)
-        up = _pk_series(lat_up.mass, m, rho, n_terms) + bound
-    return PkExact(
-        value=0.5 * (lo + up),
-        truncation_n=n_terms,
-        truncation_bound=bound,
-        lattice_spacing=h,
-        lower=lo,
-        upper=up,
-    )
+    brackets = (q.model,) if lattice else lattice_brackets(q.model, h, x)
+    tails = [_renewal_tail(_capped_pmf(b.mass, m), q.rho) for b in brackets]
+    lo, up = tails[0], tails[-1]
+    return PkExact(value=0.5 * (lo + up), lattice_spacing=h, lower=lo, upper=up)
 
 
 def _crude(model, rho, x, n_samples, seed, n_offset) -> SimulationEstimate:

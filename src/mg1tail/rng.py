@@ -2,7 +2,7 @@
 
 One substream per replication: replication ``rep`` of a run seeded with
 ``seed`` has initial state ``mix64(seed + rep*GOLD)`` and its j-th uniform is
-``mix64(state0 + (j+1)*GOLD)`` mapped to (0, 1].  Because every draw is a pure
+``mix64(state0 + (j+1)*GOLD)`` mapped to (0, 1).  Because every draw is a pure
 function of (seed, rep, j), batch partitioning never changes any
 replication's draws.
 
@@ -15,8 +15,9 @@ import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 # (u >> 11) has 53 significant bits; +0.5 keeps the result above 0, but the
-# top value 2**53 - 1 + 0.5 rounds to 2**53, so the largest uniform is 1.0
+# top value 2**53 - 1 + 0.5 rounds to 2**53, so it is capped below 1.0
 _INV53 = 2.0 ** -53
+_TOP = np.nextafter(1.0, 0.0)
 
 GOLD_U64 = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -41,7 +42,7 @@ def uniforms_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     u = tmp.view(np.float64)
     np.add(z, 0.5, out=u)
     np.multiply(u, _INV53, out=u)
-    return u
+    return np.minimum(u, _TOP, out=u)
 
 
 def substream_states_np(seed: int, reps: np.ndarray) -> np.ndarray:

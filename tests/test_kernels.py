@@ -35,6 +35,14 @@ lattice_points = st.lists(
 )
 
 
+def _masked_pareto_tail(model, t):
+    # the Pareto vector tail as it was before the np.maximum form, verbatim
+    out = np.ones_like(t)
+    big = t >= 1.0
+    out[big] = t[big] ** (-(model.alpha - 1.0))
+    return out
+
+
 # The vector methods are numpy's pow/exp/log1p, the scalar functions libm's;
 # the two differ by at most 2 ulp on the inputs measured.
 @settings(max_examples=50, deadline=None)
@@ -46,6 +54,9 @@ def test_vector_methods_match_scalar_continuous(model, us, ts):
     np.testing.assert_array_max_ulp(
         model.tail(np.array(ts)), np.array([tail_prob(model, t) for t in ts]),
         maxulp=4)
+    if isinstance(model, ParetoIntegratedTail):
+        t = np.array(ts + [0.0, 1.0, 0.999999, 1e300, math.inf])
+        assert np.array_equal(model.tail(t), _masked_pareto_tail(model, t))
 
 
 @settings(max_examples=50, deadline=None)
@@ -286,8 +297,8 @@ def test_top_uniform_maps_to_top_lattice_point():
     lat = Lattice(h=0.1, mass=[0.1] * 10)
     assert lat.cum[-1] == 1.0
     assert sample_x(lat, 1.0 - 2.0**-53) == lat.support[-1]
-    # ... but the largest kernel uniform rounds to exactly 1.0: find the
-    # counter whose mixed value is all ones by undoing the finalizer
+    # ... and the largest kernel uniform, from the counter whose mixed value
+    # is all ones (found by undoing the finalizer), is capped below 1.0
     z = _MASK
     for shift, mult in ((31, None), (27, int(_M2)), (30, int(_M1))):
         if mult is not None:
@@ -296,7 +307,10 @@ def test_top_uniform_maps_to_top_lattice_point():
         for _ in range(64 // shift + 1):
             y = z ^ (y >> shift)
         z = y
+    assert _ref_mix64(np.array([z], dtype=np.uint64))[0] == _MASK
     z = np.array([z], dtype=np.uint64)
     u = rng.uniforms_inplace(z, np.empty_like(z))
-    assert u[0] == 1.0
+    assert u[0] == 1.0 - 2.0**-53
     assert lat.quantile(u)[0] == lat.support[-1]
+    for model in MODELS[:2]:
+        assert np.isfinite(model.quantile(u.copy())[0])

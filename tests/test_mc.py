@@ -90,18 +90,17 @@ def test_pk_brackets_mm1():
     assert pk.lower <= exact <= pk.upper
     assert pk.upper - pk.lower < 2e-3
     assert abs(pk.value - exact) < 1e-3
-    assert pk.truncation_bound <= 1e-10
+    # no series remainder: tol is validated but changes nothing
+    assert pk_truncated(q, 2.0, tol=1e-3, h=0.01) == pk
     assert pk.lattice_spacing == 0.01
 
 
 def test_pk_value_at_zero_is_rho():
-    for rho in (0.3, 0.95):
+    # X >= 1, so both brackets have f_0 = 0 and Fbar_0 = 1: T_0 = rho exactly
+    for rho in (0.3, 0.8, 0.95):
         q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=rho)
         pk = pk_truncated(q, 0.0)
-        assert abs(pk.value - rho) <= 1e-9
-        # enclosure is exact up to float accumulation of the series
-        assert pk.lower <= rho + 1e-12
-        assert pk.upper >= rho - 1e-12
+        assert pk.lower == pk.value == pk.upper == rho
 
 
 def test_pk_narrows_with_spacing():
@@ -115,15 +114,71 @@ def test_pk_lattice_model_uses_own_spacing():
     q = QueueModel(model=TWO_POINT, rho=0.5)
     pk = pk_truncated(q, 2.5, h=0.33)
     assert pk.lattice_spacing == 1.0
+    assert pk.lower == pk.value == pk.upper
     # direct series: sum (1-rho) rho^n P(S_n > 2.5)
     expect = sum(0.5 ** (n + 1) * convolve_tail(TWO_POINT, n, 2.5) for n in range(1, 40))
     assert math.isclose(pk.value, expect, rel_tol=1e-9)
 
 
-def test_pk_budget_guard():
+def test_pk_budget_guard(monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("the budget is checked before the lattice is built")
+
+    monkeypatch.setattr(mc, "lattice_brackets", no_lattice)
     q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
     with pytest.raises(ResourceBudgetError):
         pk_truncated(q, 1e7, h=0.001)
+
+
+# --- reference: the series evaluation that the renewal recursion replaced,
+# verbatim but for the returned pair ----------------------------------------
+
+
+def _ref_pk_series(pmf, m, rho, n_terms):
+    acc = 0.0
+    weight = (1.0 - rho) * rho
+    cur = pmf.copy()
+    for n in range(1, n_terms + 1):
+        acc += weight * cur[m]
+        weight *= rho
+        if n < n_terms:
+            cur = np.convolve(cur, pmf)
+            cur[m] += cur[m + 1 :].sum()
+            cur = cur[: m + 1]
+    return acc
+
+
+def _ref_pk_truncated(q, x, tol=1e-10, h=0.05):
+    rho = q.rho
+    n_terms = math.ceil(math.log(tol) / math.log(rho))
+    bound = rho ** (n_terms + 1)
+    lattice = isinstance(q.model, Lattice)  # a lattice is its own bracket
+    if lattice:
+        h = q.model.h
+    m = mc._cap_index(x, h)
+    if lattice:
+        lo = _ref_pk_series(mc._capped_pmf(q.model.mass, m), m, rho, n_terms)
+        up = lo + bound
+    else:
+        lat_lo, lat_up = lattice_brackets(q.model, h, x)
+        lo = _ref_pk_series(lat_lo.mass, m, rho, n_terms)
+        up = _ref_pk_series(lat_up.mass, m, rho, n_terms) + bound
+    return lo, up
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=st.one_of(st.floats(2.5, 8.0).map(ParetoIntegratedTail),
+                    st.floats(0.2, 5.0).map(ExponentialIntegrated)),
+    rho=st.floats(0.05, 0.95),
+    x=st.floats(0.0, 40.0),
+    h=st.sampled_from([0.05, 0.1, 0.25]),
+)
+def test_pk_recursion_inside_series_bracket(model, rho, x, h):
+    q = QueueModel(model=model, rho=rho)
+    pk = pk_truncated(q, x, h=h)
+    lo, up = _ref_pk_truncated(q, x, h=h)
+    assert lo * (1.0 - 1e-12) <= pk.lower <= pk.value <= pk.upper <= up * (1.0 + 1e-12)
 
 
 def test_ak_estimate_covers_pk():

@@ -1,6 +1,6 @@
 import numpy as np
 
-from mg1tail.rng import substream_states_np, uniforms_np
+from mg1tail.rng import mix64_inplace, substream_states_np, uniforms_inplace, uniforms_np
 
 # (seed, rep, j, j-th uniform of replication rep) from a scalar SplitMix64
 # reference implementation of the same stream layout
@@ -46,6 +46,15 @@ def test_uniforms_strictly_inside_unit_interval():
     u = uniforms_np(states, np.zeros(1000, dtype=np.uint64))
     assert u.min() > 0.0
     assert u.max() < 1.0
+    # the extreme counters: mixed value all zeros and all ones (the latter
+    # found by undoing the finalizer, as in
+    # test_kernels::test_top_uniform_maps_to_top_lattice_point)
+    z = np.array([0, 0xCF9A04AFFA6BADC0], dtype=np.uint64)
+    mixed = z.copy()
+    mix64_inplace(mixed, np.empty_like(mixed))
+    assert mixed.tolist() == [0, 2**64 - 1]
+    u = uniforms_inplace(z, np.empty_like(z))
+    assert u.tolist() == [2.0**-54, 1.0 - 2.0**-53]
 
 
 def test_uniform_moments():
