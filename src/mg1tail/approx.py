@@ -104,20 +104,27 @@ def h_approx(q: QueueModel, x) -> float:
     return s_sum(q, x) + geometric_term(q, x)
 
 
-def gamma_factor(q: QueueModel, x) -> float:
-    """1 - rho^{x/mu}(1 + (1-rho)x/mu); lies in [0,1) since with
-    t = (1-rho)x/mu one has rho^{x/mu} <= e^{-t} and e^{-t}(1+t) <= 1."""
+def _two_term(model: IntegratedTailModel, r: float, s: float, x):
+    """(gamma, (r/s) gamma F̄(x) + r^{x/mu}) with gamma = 1 - r^{x/mu}(1 + s x/mu),
+    for r = 1-s in (0,1): the queue form at (rho, 1-rho) and the geometric-sum
+    form at (1-p, p).  gamma lies in [0,1) since with t = s x/mu one has
+    r^{x/mu} <= e^{-t} and e^{-t}(1+t) <= 1."""
     if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    mu = q.model.mean()
-    g = q.rho ** (x / mu)
+    mu = model.mean()
+    g = r ** (x / mu)
     # keep the half-open range when the complement underflows past 1 ulp
-    return min(1.0 - g - g * (1.0 - q.rho) * x / mu, math.nextafter(1.0, 0.0))
+    gamma = min(1.0 - g - g * s * x / mu, math.nextafter(1.0, 0.0))
+    return gamma, r / s * gamma * tail_prob(model, x) + g
+
+
+def gamma_factor(q: QueueModel, x) -> float:
+    """1 - rho^{x/mu}(1 + (1-rho)x/mu), in [0,1)."""
+    return _two_term(q.model, q.rho, 1.0 - q.rho, x)[0]
 
 
 def j_approx(q: QueueModel, x) -> float:
-    g = gamma_factor(q, x)
-    return q.rho / (1.0 - q.rho) * g * tail_prob(q.model, x) + geometric_term(q, x)
+    return _two_term(q.model, q.rho, 1.0 - q.rho, x)[1]
 
 
 def _sigma(q: QueueModel) -> float:
@@ -135,15 +142,15 @@ def _phi_tail(u: float) -> float:
     return 0.5 * math.erfc(u / math.sqrt(2.0))
 
 
-def t_tail(q: QueueModel, x, _tol=_SERIES_TOL) -> float:
-    """Series form, truncated at the smallest N with rho^{N+1} < tol (each
+def t_tail(q: QueueModel, x) -> float:
+    """Series form, truncated at the smallest N with rho^{N+1} < 1e-12 (each
     remaining term is at most (1-rho) rho^n)."""
     if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     sigma = _sigma(q)
     mu = q.model.mean()
     rho = q.rho
-    n_max = math.ceil(math.log(_tol) / math.log(rho))
+    n_max = math.ceil(math.log(_SERIES_TOL) / math.log(rho))
     total = 0.0
     comp = 0.0
     weight = (1.0 - rho) * rho
@@ -203,9 +210,9 @@ def t_tail_z(q: QueueModel, x) -> float:
         run_expo.append(expo[first])
     starts = np.concatenate(starts)
     run_expo = np.concatenate(run_expo)
-    log_rho = math.log(rho)
-    vals = np.exp(np.maximum(run_expo * log_rho, -745.0))
-    vals[run_expo * log_rho < -745.0] = 0.0
+    e = run_expo * math.log(rho)
+    vals = np.exp(e)
+    vals[e < -745.0] = 0.0
     # one value per node again: numpy's pairwise summation order depends on
     # the array length
     vals = np.repeat(vals, np.diff(starts, append=z.size))

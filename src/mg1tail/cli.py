@@ -146,20 +146,18 @@ def cmd_threshold(args) -> int:
     return 0
 
 
+def _ak(args, q: QueueModel):
+    return ak_estimate(q, args.x, target_rel_err=args.rel_err, confidence=args.confidence,
+                       seed=args.seed, max_samples=args.max_samples)
+
+
 def cmd_simulate(args) -> int:
     _require(args, "dist", "rho", "x")
     q = _queue(args)
     if args.method == "crude":
         est = crude_mc(q, args.x, n_samples=args.n_samples, seed=args.seed)
     else:
-        est = ak_estimate(
-            q,
-            args.x,
-            target_rel_err=args.rel_err,
-            confidence=args.confidence,
-            seed=args.seed,
-            max_samples=args.max_samples,
-        )
+        est = _ak(args, q)
     _print_estimate(est)
     return 0
 
@@ -245,14 +243,7 @@ def cmd_compare(args) -> int:
     _require(args, "dist", "rho", "x")
     q = _queue(args)
     x = args.x
-    est = ak_estimate(
-        q,
-        x,
-        target_rel_err=args.rel_err,
-        confidence=args.confidence,
-        seed=args.seed,
-        max_samples=args.max_samples,
-    )
+    est = _ak(args, q)
     pt = approximation_point(q, x)
     entries = [
         ("heavy_traffic", pt.heavy_traffic),
@@ -331,6 +322,12 @@ def build_parser(seed_default: int):
         )
         sp.add_argument("--rho", type=float, help="traffic intensity in (0,1)")
 
+    def ak_flags(sp):
+        sp.add_argument("--rel-err", type=float, default=0.05)
+        sp.add_argument("--confidence", type=float, default=0.99)
+        sp.add_argument("--max-samples", type=int, default=50_000_000)
+        sp.add_argument("--seed", type=int, default=seed_default)
+
     sp = add("approx", cmd_approx, "evaluate one approximation at one x")
     model_flags(sp)
     sp.add_argument("--x", type=float)
@@ -358,18 +355,12 @@ def build_parser(seed_default: int):
     sp.add_argument("--x", type=float)
     sp.add_argument("--method", choices=("ak", "crude"), default="ak")
     sp.add_argument("--n-samples", type=int, default=1_000_000)
-    sp.add_argument("--rel-err", type=float, default=0.05)
-    sp.add_argument("--confidence", type=float, default=0.99)
-    sp.add_argument("--max-samples", type=int, default=50_000_000)
-    sp.add_argument("--seed", type=int, default=seed_default)
+    ak_flags(sp)
 
     sp = add("compare", cmd_compare, "all methods against Monte Carlo")
     model_flags(sp)
     sp.add_argument("--x", type=float)
-    sp.add_argument("--rel-err", type=float, default=0.05)
-    sp.add_argument("--confidence", type=float, default=0.99)
-    sp.add_argument("--max-samples", type=int, default=50_000_000)
-    sp.add_argument("--seed", type=int, default=seed_default)
+    ak_flags(sp)
 
     sp = add("geom", cmd_geom, "geometric-sum threshold report")
     sp.add_argument("--betaY", type=float, help="summand tail index (> 2)")

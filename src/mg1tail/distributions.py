@@ -18,19 +18,21 @@ Variants:
   convolution oracles and estimator-unbiasedness tests have exactly
   enumerable ground truth.
 
-Each model owns its formulas in two forms, side by side.  The scalar methods
+Each model owns its formulas side by side.  The scalar methods
 (``tail_prob``, ``sample_x``, ``atom_prob``, ``mean``, ``variance``, and
-``tail_index``/``service_moments`` where the model identifies them) use
-Python floats and libm; the closed-form approximations call them once per
-term.  The vector methods (``quantile``, ``tail``, and ``atom`` on the
-lattice) use numpy for the batch kernels.  One form cannot serve both: a 0-d
-numpy call is ~20x slower than the scalar one, and numpy's SIMD pow/exp
-differ from libm by 1-2 ulp, which would change the deterministic tables.
-There is no dispatch on the model type here; ``IntegratedTailModel`` gives
-the defaults (no atoms, and ``UnsupportedModelError`` for a tail index or
-service moments the model does not identify), and the module functions
-``tail_prob``/``sample_x`` only check their argument before calling the
-method.
+``tail_index``/``service_moments`` where the model identifies them) return
+Python floats; the closed-form approximations call them once per term.  The
+vector methods (``quantile``, ``tail``, and ``atom`` on the lattice) use
+numpy for the batch kernels.  The Pareto and exponential models keep two
+forms of each formula, because one form cannot serve both: a 0-d numpy call
+is ~20x slower than the libm one, and numpy's SIMD pow/exp differ from libm
+by 1-2 ulp, which would change the deterministic tables.  Neither reason
+holds for the lattice, whose two forms would be the same ``searchsorted``,
+so its scalar methods read the vector ones.  There is no dispatch on the
+model type here; ``IntegratedTailModel`` gives the defaults (no atoms, and
+``UnsupportedModelError`` for a tail index or service moments the model does
+not identify), and the module functions ``tail_prob``/``sample_x`` only check
+their argument before calling the method.
 """
 
 from dataclasses import dataclass
@@ -167,20 +169,15 @@ class Lattice(IntegratedTailModel):
         self.support.setflags(write=False)
 
     def tail_prob(self, x: float) -> float:
-        # mass strictly above x
-        idx = int(np.searchsorted(self.support, x, side="right"))
-        return float(self.suffix[idx])
+        return float(self.tail(x))
 
     def sample_x(self, u: float) -> float:
-        # cum[-1] is exactly 1.0 and sample_x checks u < 1, so idx < size
-        idx = int(np.searchsorted(self.cum, u, side="right"))
-        return float(self.support[idx])
+        return float(self.quantile(u))
 
     def atom_prob(self, v: float) -> float:
-        j = int(round(v / self.h))
-        if 0 <= j < self.mass.size and self.support[j] == v:
-            return float(self.mass[j])
-        return 0.0
+        if math.isnan(v):
+            raise ValueError("atom location must not be NaN")
+        return float(self.atom(v))
 
     def mean(self) -> float:
         return float(np.sum(self.support * self.mass))
@@ -196,11 +193,12 @@ class Lattice(IntegratedTailModel):
         return np.take(self.support, idx, out=out, mode="clip")
 
     def tail(self, t):
+        # mass strictly above t
         return self.suffix[np.searchsorted(self.support, t, side="right")]
 
     def atom(self, v):
-        idx = np.searchsorted(self.support, v, side="right") - 1
-        np.clip(idx, 0, self.support.size - 1, out=idx)
+        # the last point at or below v (the first point when v lies below it)
+        idx = np.maximum(np.searchsorted(self.support, v, side="right") - 1, 0)
         return np.where(self.support[idx] == v, self.mass[idx], 0.0)
 
     def __repr__(self):

@@ -1,16 +1,19 @@
 """Tails of geometric random sums Z = Y_1 + ... + Y_N, where
 P(N = k) = p (1-p)^{k-1} for k >= 1 and the summands have a power tail.
 
-With the mapping rho = 1-p and X = Y this is algebraically the same object as
-the queueing approximations (the queue-side count starts at 0, which only
-contributes a factor 1-p), so geom_tail_approx mirrors j_approx exactly; the
-test suite locks the two implementations together at 1e-12.
+With the mapping rho = 1-p and X = Y this is the queueing approximation
+itself (the queue-side count starts at 0, which only contributes a factor
+1-p), so geom_gamma and geom_tail_approx evaluate the one two-term formula
+behind gamma_factor and j_approx at (1-p, p), and tau is kappa of the summand
+law.
 """
 
 from dataclasses import dataclass, field
 import math
 
-from .distributions import IntegratedTailModel, tail_prob
+from .approx import _two_term
+from .distributions import IntegratedTailModel
+from .transition import kappa
 
 
 @dataclass(frozen=True)
@@ -25,26 +28,17 @@ class GeomModel:
         beta = self.y_model.tail_index()  # rejects variants without one
         if not beta > 2:
             raise ValueError(f"summand tail index must exceed 2, got {beta}")
-        object.__setattr__(self, "tau", (beta - 1.0) * self.y_model.mean())
+        object.__setattr__(self, "tau", kappa(self.y_model))
 
 
 def geom_gamma(g: GeomModel, x) -> float:
     """1 - (1-p)^{x/mu} (1 + p x/mu) with mu the summand mean; in [0,1)."""
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    mu = g.y_model.mean()
-    base = (1.0 - g.p) ** (x / mu)
-    # keep the half-open range when the complement underflows past 1 ulp
-    return min(1.0 - base - base * g.p * x / mu, math.nextafter(1.0, 0.0))
+    return _two_term(g.y_model, 1.0 - g.p, g.p, x)[0]
 
 
 def geom_tail_approx(g: GeomModel, x) -> float:
     """((1-p)/p) gamma(x) P(Y > x) + (1-p)^{x/mu}."""
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    mu = g.y_model.mean()
-    base = (1.0 - g.p) ** (x / mu)
-    return (1.0 - g.p) / g.p * geom_gamma(g, x) * tail_prob(g.y_model, x) + base
+    return _two_term(g.y_model, 1.0 - g.p, g.p, x)[1]
 
 
 def geom_threshold(g: GeomModel, c: float = 1.0) -> float:

@@ -48,6 +48,9 @@ MIN_SAMPLES_BEFORE_CHECK = 100_000
 _CELL_BUDGET = 200_000_000
 # recursion budget: multiply-adds of both bracket passes, about m*m
 _MAC_BUDGET = 4_000_000_000
+# longest slice per np.dot: OpenBLAS threads ddot above 10**4 elements, and a
+# threaded dot sums in another order, so longer dots go slice by slice
+_DOT_MAX = 8192
 
 
 class Method(Enum):
@@ -166,7 +169,11 @@ def _renewal_tail(pmf: np.ndarray, rho: float) -> float:
     c = rho / (1.0 - rho * pmf[0])
     t = np.empty(m)
     for k in range(m):
-        t[k] = c * (fbar[k] + np.dot(f_rev[m - 1 - k :], t[:k]))
+        f, tk = f_rev[m - 1 - k :], t[:k]
+        acc = 0.0
+        for lo in range(0, k, _DOT_MAX):
+            acc += np.dot(f[lo : lo + _DOT_MAX], tk[lo : lo + _DOT_MAX])
+        t[k] = c * (fbar[k] + acc)
     return t[m - 1]
 
 
@@ -194,6 +201,10 @@ def pk_truncated(q: QueueModel, x, tol: float = 1e-10, h: float = 0.05) -> PkExa
 
 
 def _crude(model, rho, x, n_samples, seed, n_offset) -> SimulationEstimate:
+    if n_samples < 100:
+        raise ValueError(f"need at least 100 samples, got {n_samples}")
+    if not x >= 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
     hits = 0.0
     for rep0 in range(0, n_samples, BATCH_SIZE):
         nb = min(BATCH_SIZE, n_samples - rep0)
@@ -214,20 +225,12 @@ def _crude(model, rho, x, n_samples, seed, n_offset) -> SimulationEstimate:
 
 
 def crude_mc(q: QueueModel, x, n_samples: int, seed: int = 0) -> SimulationEstimate:
-    if n_samples < 100:
-        raise ValueError(f"need at least 100 samples, got {n_samples}")
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
     return _crude(q.model, q.rho, x, n_samples, seed, 0)
 
 
 def geom_crude_mc(g: GeomModel, x, n_samples: int, seed: int = 0) -> SimulationEstimate:
     """Crude sampling of the geometric sum with count >= 1 (same kernels as
     the queue-side estimator, count offset by one)."""
-    if n_samples < 100:
-        raise ValueError(f"need at least 100 samples, got {n_samples}")
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
     return _crude(g.y_model, 1.0 - g.p, x, n_samples, seed, 1)
 
 

@@ -40,9 +40,9 @@ class RhoThreshold:
 
 
 def kappa(model: IntegratedTailModel) -> float:
-    """mu (alpha-2); for the built-in Pareto family this equals alpha-1."""
-    model.tail_index()  # raises for variants without a tail index
-    return model.mean() * (model.alpha - 2.0)
+    """mu (alpha-2), with alpha-1 the tail index (raises for variants without
+    one); for the built-in Pareto family this equals alpha-1."""
+    return model.mean() * (model.tail_index() - 1.0)
 
 
 def threshold_x(q: QueueModel, c: float = 1.0) -> float:

@@ -56,6 +56,17 @@ def test_lattice_tail_and_atoms():
     assert lat.atom_prob(7.0) == 0.0
 
 
+def test_lattice_atoms_at_non_finite_and_scalar_points():
+    lat = Lattice(h=0.5, mass=[0.0, 0.25, 0.5, 0.25])
+    with pytest.raises(ValueError):
+        lat.atom_prob(math.nan)
+    # P(X = +-inf) = 0
+    assert lat.atom_prob(math.inf) == 0.0
+    assert lat.atom_prob(-math.inf) == 0.0
+    for v in (-1.0, 0.0, 0.5, 0.75, 1.0, 1.5, 2.0, math.inf, -math.inf):
+        assert lat.atom(v) == lat.atom(np.array([v]))[0]
+
+
 def test_lattice_suffix_matches_mass():
     lat = Lattice(h=1.0, mass=[0.1, 0.2, 0.3, 0.4])
     for j in range(4):

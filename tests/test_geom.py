@@ -12,6 +12,7 @@ from mg1tail import (
     UnsupportedModelError,
     geom_gamma,
     geom_tail_approx,
+    gamma_factor,
     geom_threshold,
     j_approx,
 )
@@ -74,6 +75,19 @@ def test_matches_queue_approximation():
         g = GeomModel(y_model=model, p=1.0 - rho)
         for x in (0.0, 1.3, 10.0, 77.0):
             assert abs(geom_tail_approx(g, x) - j_approx(q, x)) <= 1e-12
+
+
+def test_same_formula_as_queue_at_dyadic_p():
+    # at dyadic p, 1-(1-p) == p, so both sides get the same (r, s) pair and
+    # one formula gives the same bits
+    model = ParetoIntegratedTail(alpha=3.5)
+    for p in (0.5, 0.25, 0.125):
+        assert 1.0 - (1.0 - p) == p
+        q = QueueModel(model=model, rho=1.0 - p)
+        g = GeomModel(y_model=model, p=p)
+        for x in (0.0, 1.3, 10.0, 77.0):
+            assert geom_tail_approx(g, x) == j_approx(q, x)
+            assert geom_gamma(g, x) == gamma_factor(q, x)
 
 
 def test_summand_model_restrictions():

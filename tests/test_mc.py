@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -118,6 +122,23 @@ def test_pk_lattice_model_uses_own_spacing():
     # direct series: sum (1-rho) rho^n P(S_n > 2.5)
     expect = sum(0.5 ** (n + 1) * convolve_tail(TWO_POINT, n, 2.5) for n in range(1, 40))
     assert math.isclose(pk.value, expect, rel_tol=1e-9)
+
+
+def test_pk_independent_of_blas_threads():
+    # m = 12,001 lattice points: the longest recursion dots pass OpenBLAS's
+    # 10**4-element threading cutoff unless they are sliced
+    probe = ("import mg1tail as m; "
+             "q = m.QueueModel(m.ParetoIntegratedTail(alpha=4.0), rho=0.95); "
+             "pk = m.pk_truncated(q, 600.0, h=0.05); "
+             "print(pk.lower.hex(), pk.upper.hex())")
+    src = str(pathlib.Path(mc.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", probe], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] == outs[1]
 
 
 def test_pk_budget_guard(monkeypatch):
@@ -358,6 +379,8 @@ def test_input_validation():
     q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
     with pytest.raises(ValueError):
         crude_mc(q, 1.0, 50)
+    with pytest.raises(ValueError):
+        geom_crude_mc(GeomModel(ParetoIntegratedTail(4.0), 0.2), 1.0, 50)
     with pytest.raises(ValueError):
         ak_estimate(q, -1.0)
     # NaN fails every comparison, so it must not slip past `x < 0`
