@@ -158,6 +158,25 @@ def test_parse_model():
             parse_model(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("pareto-it:alpha", "malformed model parameter 'alpha' in 'pareto-it:alpha'"),
+    ("gauss:mu=0", "unknown model kind 'gauss' in 'gauss:mu=0'"),
+    ("pareto-it:beta=3", "pareto-it needs alpha=..., got 'pareto-it:beta=3'"),
+    ("exp:scale=2", "exp needs rate=..., got 'exp:scale=2'"),
+    ("lattice:path=a.txt", "lattice needs file=PATH, got 'lattice:path=a.txt'"),
+    # a malformed parameter is reported before an unknown kind, and an
+    # unknown kind before a missing parameter
+    ("gauss:mu", "malformed model parameter 'mu' in 'gauss:mu'"),
+    ("gauss", "unknown model kind 'gauss' in 'gauss'"),
+    ("", "unknown model kind '' in ''"),
+    ("pareto-it:alpha=x", "could not convert string to float: 'x'"),
+])
+def test_parse_model_error_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_model(text)
+    assert str(info.value) == message
+
+
 def test_load_lattice_file(tmp_path):
     p = tmp_path / "lat.txt"
     p.write_text("# two-point service distribution\n1.0 0.5\n2.0 0.5\n")

@@ -1,7 +1,8 @@
 """Outputs pinned bit for bit: kernel batch sums, estimator fields, the
-quadrature form ``t_tail_z``, the bytes of ``sweep --simulate`` tables, and
-the closed-form scalars (model formulas, every approximation and threshold,
-and the ``approx``/``threshold`` CLI output) over a grid of models, rho and x.
+quadrature form ``t_tail_z``, the bytes of ``sweep --simulate`` tables, the
+``compare`` CLI output, and the closed-form scalars (model formulas, every
+approximation and threshold, and the ``approx``/``threshold`` CLI output) over
+a grid of models, rho and x.
 
 The files under ``tests/golden/`` were recorded on x86-64 with Python 3.11 and
 numpy 2.4; other libm or numpy builds may differ in the last bits of a pow or
@@ -16,6 +17,7 @@ import enum
 import io
 import json
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -237,6 +239,29 @@ def scalar_values():
     return out
 
 
+# model literal, rho and x per case: finite variance with a geometric row,
+# infinite variance (no h_clt row; tail index 1.7, so no geom row), the
+# exponential (Cramer-Lundberg row) and a lattice file (neither extra row)
+COMPARES = {
+    "pareto3.5": ("pareto-it:alpha=3.5", "0.8", "10"),
+    "pareto2.7": ("pareto-it:alpha=2.7", "0.9", "20"),
+    "exp": ("exp:rate=1", "0.8", "3"),
+    "lattice": ("lattice:file={}", "0.6", "1.25"),
+}
+
+
+def compare_output(directory):
+    """stdout, stderr and exit code of ``compare`` per case, capped at 20,000
+    samples; the lattice file is written to ``directory``."""
+    lattice = pathlib.Path(directory) / "lattice.txt"
+    lattice.write_text("0.5 0.25\n1.0 0.5\n1.5 0.25\n")
+    return {
+        name: _cli("compare", "--dist", dist.format(lattice), "--rho", rho,
+                   "--x", x, "--seed", "3", "--max-samples", "20000")
+        for name, (dist, rho, x) in COMPARES.items()
+    }
+
+
 def sweep_bytes(name, fmt, directory):
     path = pathlib.Path(directory) / f"sweep-{name}.{fmt}"
     code = main(["sweep", *SWEEPS[name], "--points", "4", "--log-grid",
@@ -274,6 +299,10 @@ def test_scalars_match_golden():
     assert [k for k in want if got[k] != want[k]] == []
 
 
+def test_compare_matches_golden(tmp_path):
+    assert compare_output(tmp_path) == _load("compare.json")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_bytes_match_golden(name, fmt, tmp_path, capsys):
@@ -289,6 +318,9 @@ if __name__ == "__main__":
                         ("t_tail_z.json", t_tail_z_values()),
                         ("scalars.json", scalar_values())):
         (GOLDEN / fname).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "compare.json").write_text(
+            json.dumps(compare_output(tmp), indent=2, sort_keys=True) + "\n")
     for name in SWEEPS:
         for fmt in ("csv", "json"):
             sweep_bytes(name, fmt, GOLDEN)

@@ -50,6 +50,67 @@ def test_convolve_tail_grid_matches_scalar():
         assert v == convolve_tail(TWO_POINT, 4, x)
 
 
+# --- reference: the per-x cap lookup of convolve_tail_grid, verbatim ------
+
+
+def _ref_cap_index(x: float, h: float) -> int:
+    """Smallest m with m*h > x (float-robust)."""
+    m = int(math.floor(x / h)) + 1
+    while m > 0 and (m - 1) * h > x:
+        m -= 1
+    while m * h <= x:
+        m += 1
+    return m
+
+
+def _ref_convolve_tail_grid(dist, n, xs):
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    x_max = float(xs.max())
+    if x_max < 0:
+        return np.ones_like(xs)
+    m = _ref_cap_index(x_max, dist.h)
+    pmf = mc._capped_pmf(dist.mass, m)
+    cur = pmf.copy()
+    for _ in range(n - 1):
+        cur = np.convolve(cur, pmf)
+        if cur.size > m + 1:
+            cur[m] += cur[m + 1 :].sum()
+            cur = cur[: m + 1]
+    suffix = np.concatenate([np.cumsum(cur[::-1])[::-1], [0.0]])
+    out = np.empty(xs.size)
+    for i, x in enumerate(xs):
+        if x < 0:
+            out[i] = 1.0
+        else:
+            k = _ref_cap_index(float(x), dist.h)
+            out[i] = suffix[min(k, m)]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.sampled_from([0.1, 0.25, 0.3, 0.7, 1.0, 1.1]),
+    weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(
+        lambda w: sum(w) > 0),
+    n=st.integers(1, 5),
+    ks=st.lists(st.integers(-3, 45), max_size=5),
+    others=st.lists(st.floats(-3.0, 45.0), max_size=5),
+)
+def test_convolve_tail_grid_equals_per_x_loop(h, weights, n, ks, others):
+    dist = Lattice(h=h, mass=np.array(weights) / sum(weights))
+    # lattice points k*h, their float neighbours, and arbitrary x
+    xs = [k * h for k in ks] + others
+    xs += [math.nextafter(k * h, d) for k in ks for d in (-math.inf, math.inf)]
+    if not xs:
+        xs = [0.0]
+    got = convolve_tail_grid(dist, n, xs)
+    want = _ref_convolve_tail_grid(dist, n, xs)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
 def test_convolve_tail_against_binomial():
     # S_n - n over {0,1} jumps is Binomial(n, 1/2)
     from math import comb
