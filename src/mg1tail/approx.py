@@ -85,6 +85,9 @@ def s_sum(q: QueueModel, x) -> float:
         term = weight * n * tail_prob(q.model, x - (n - 1) * mu)
         weight *= rho
         if term < _TERM_FLOOR:
+            # later terms are <= weight * m * F, F <= 1 + 1e-12: all skipped
+            if 2.0 * weight * m < _TERM_FLOOR:
+                break
             continue
         y = term - comp
         t = total + y
@@ -225,7 +228,7 @@ def h_clt(q: QueueModel, x) -> float:
 
 def subexp_sum_approx(model: IntegratedTailModel, n: int, x) -> float:
     """n F̄(max(0, x-(n-1)mu)), the one-big-jump surrogate for P(S_n > x)."""
-    if n < 1:
+    if not (n >= 1 and n % 1 == 0):
         raise ValueError(f"n must be a positive integer, got {n}")
     if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")

@@ -44,12 +44,7 @@ from .approx import (
     heavy_traffic,
     j_approx,
 )
-from .distributions import (
-    ExponentialIntegrated,
-    ParetoIntegratedTail,
-    QueueModel,
-    parse_model,
-)
+from .distributions import ParetoIntegratedTail, QueueModel, parse_model
 from .errors import NoCrossingError, ResourceBudgetError, UnsupportedModelError
 from .geom import GeomModel, geom_gamma, geom_tail_approx, geom_threshold
 from .light_tails import corrected_heavy_traffic, cramer_lundberg_tail
@@ -106,6 +101,16 @@ def _regime_string(q: QueueModel, x: float) -> str:
         return regime_classify(q, x).regime.value
     except UnsupportedModelError:
         return "na"
+
+
+def _columns(pt) -> list:
+    """(name, value) of each approximation column of a point, in the fixed
+    order; h_clt only when the model has finite variance."""
+    cols = [("heavy_traffic", pt.heavy_traffic), ("heavy_tail", pt.heavy_tail),
+            ("h", pt.h), ("j", pt.j)]
+    if pt.h_clt is not None:
+        cols.append(("h_clt", pt.h_clt))
+    return cols
 
 
 def _print_estimate(est):
@@ -197,21 +202,11 @@ def cmd_sweep(args) -> int:
     _require(args, "dist", "rho", "x_min", "x_max", "points", "out")
     q = _queue(args)
     xs = [float(x) for x in _sweep_grid(args)]
-    include_clt = math.isfinite(q.model.variance())
     if args.simulate:
         ests = ak_estimate_grid(q, xs, target_rel_err=args.rel_err, seed=args.seed)
     rows = []
     for i, x in enumerate(xs):
-        pt = approximation_point(q, x)
-        row = {
-            "x": x,
-            "heavy_traffic": pt.heavy_traffic,
-            "heavy_tail": pt.heavy_tail,
-            "h": pt.h,
-            "j": pt.j,
-        }
-        if include_clt:
-            row["h_clt"] = pt.h_clt
+        row = {"x": x, **dict(_columns(approximation_point(q, x)))}
         if args.simulate:
             row["mc_estimate"] = ests[i].estimate
             row["mc_rel_err"] = ests[i].rel_err
@@ -244,22 +239,14 @@ def cmd_compare(args) -> int:
     q = _queue(args)
     x = args.x
     est = _ak(args, q)
-    pt = approximation_point(q, x)
-    entries = [
-        ("heavy_traffic", pt.heavy_traffic),
-        ("heavy_tail", pt.heavy_tail),
-        ("h", pt.h),
-        ("j", pt.j),
-    ]
-    if pt.h_clt is not None:
-        entries.append(("h_clt", pt.h_clt))
-    if isinstance(q.model, ExponentialIntegrated):
-        entries.append(("cramer_lundberg", cramer_lundberg_tail(q.model, q.rho, x)))
-    try:
-        g = GeomModel(y_model=q.model, p=1.0 - q.rho)
-        entries.append(("geom", geom_tail_approx(g, x)))
-    except (UnsupportedModelError, ValueError):
-        pass
+    entries = _columns(approximation_point(q, x))
+    # x passed the estimator's check, so a ValueError here is GeomModel's
+    # tail index <= 2
+    for name, method in (("cramer_lundberg", "cl"), ("geom", "geom")):
+        try:
+            entries.append((name, _METHODS[method](q, x)))
+        except (UnsupportedModelError, ValueError):
+            pass
     print(f"x {_fmt(x)}")
     print(
         f"mc_estimate {_fmt(est.estimate)}  rel_err {_fmt(est.rel_err)}  "

@@ -153,9 +153,10 @@ class Lattice(IntegratedTailModel):
         m = np.asarray(mass, dtype=np.float64)
         if m.ndim != 1 or m.size == 0:
             raise ValueError("mass must be a nonempty 1-d vector")
-        if np.any(m < 0):
+        # written so that a NaN fails each check
+        if not np.all(m >= 0):
             raise ValueError("mass entries must be nonnegative")
-        if abs(float(m.sum()) - 1.0) > 1e-12:
+        if not abs(float(m.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"mass must sum to 1 within 1e-12, got {m.sum()!r}")
         self.h = float(h)
         self.mass = m.copy()
@@ -239,6 +240,14 @@ def sample_x(model: IntegratedTailModel, u: float) -> float:
     return model.sample_x(u)
 
 
+# model kind -> its one parameter, how the error shows it, its constructor
+_KINDS = {
+    "pareto-it": ("alpha", "alpha=...", lambda v: ParetoIntegratedTail(alpha=float(v))),
+    "exp": ("rate", "rate=...", lambda v: ExponentialIntegrated(rate=float(v))),
+    "lattice": ("file", "file=PATH", lambda v: load_lattice_file(v)),
+}
+
+
 def parse_model(text: str) -> IntegratedTailModel:
     """Parse a model literal: pareto-it:alpha=3.5 | exp:rate=1.0 |
     lattice:file=PATH."""
@@ -249,22 +258,12 @@ def parse_model(text: str) -> IntegratedTailModel:
         if not val:
             raise ValueError(f"malformed model parameter {piece!r} in {text!r}")
         params[key.strip()] = val.strip()
-    if kind == "pareto-it":
-        try:
-            return ParetoIntegratedTail(alpha=float(params["alpha"]))
-        except KeyError:
-            raise ValueError(f"pareto-it needs alpha=..., got {text!r}") from None
-    if kind == "exp":
-        try:
-            return ExponentialIntegrated(rate=float(params["rate"]))
-        except KeyError:
-            raise ValueError(f"exp needs rate=..., got {text!r}") from None
-    if kind == "lattice":
-        try:
-            return load_lattice_file(params["file"])
-        except KeyError:
-            raise ValueError(f"lattice needs file=PATH, got {text!r}") from None
-    raise ValueError(f"unknown model kind {kind!r} in {text!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown model kind {kind!r} in {text!r}")
+    key, shown, build = _KINDS[kind]
+    if key not in params:
+        raise ValueError(f"{kind} needs {shown}, got {text!r}")
+    return build(params[key])
 
 
 def load_lattice_file(path: str) -> Lattice:
@@ -284,7 +283,7 @@ def load_lattice_file(path: str) -> Lattice:
         raise ValueError(f"{path}: no data rows")
     support = np.array([p[0] for p in pts])
     mass = np.array([p[1] for p in pts])
-    if np.any(support < 0):
+    if not np.all(support >= 0):  # NaN fails too
         raise ValueError(f"{path}: support points must be nonnegative")
     h = _infer_spacing(support)
     size = int(round(support.max() / h)) + 1
@@ -295,7 +294,7 @@ def load_lattice_file(path: str) -> Lattice:
             raise ValueError(f"{path}: point {s} is not on the inferred lattice h={h}")
         full[j] += m
     total = full.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"{path}: masses sum to {total}, expected 1")
     full /= total  # remove benign parse-level rounding before the 1e-12 gate
     return Lattice(h=h, mass=full)

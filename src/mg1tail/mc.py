@@ -84,7 +84,9 @@ def _z_value(confidence: float) -> float:
 
 
 def _cap_index(x: float, h: float) -> int:
-    """Smallest m with m*h > x (float-robust)."""
+    """Smallest m with m*h > x (float-robust), for x >= 0 and a finite h > 0."""
+    if not 0 < h < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {h}")
     m = int(math.floor(x / h)) + 1
     while m > 0 and (m - 1) * h > x:
         m -= 1
@@ -99,8 +101,8 @@ def lattice_brackets(model: IntegratedTailModel, h: float, cap: float):
     ``cap`` is lumped at the top point."""
     if isinstance(model, Lattice):
         raise ValueError("model is already a lattice")
-    if not h > 0:
-        raise ValueError(f"spacing must be positive, got {h}")
+    if not cap >= 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     m = _cap_index(cap, h)
     tails = np.array([tail_prob(model, k * h) for k in range(m + 1)])
     upper = np.zeros(m + 1)
@@ -125,9 +127,11 @@ def _capped_pmf(mass: np.ndarray, m: int) -> np.ndarray:
 def convolve_tail_grid(dist: Lattice, n: int, xs) -> np.ndarray:
     """Exact P(S_n > x) for every x in xs by one iterated convolution with an
     absorbing cap above max(xs)."""
-    if n < 1:
+    if not (n >= 1 and n % 1 == 0):
         raise ValueError(f"n must be a positive integer, got {n}")
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    if np.isnan(xs).any():
+        raise ValueError("x must not be NaN")
     if n * dist.mass.size > _CELL_BUDGET:
         raise ResourceBudgetError(
             f"convolution needs {n * dist.mass.size} lattice cells, "
@@ -139,20 +143,15 @@ def convolve_tail_grid(dist: Lattice, n: int, xs) -> np.ndarray:
     m = _cap_index(x_max, dist.h)
     pmf = _capped_pmf(dist.mass, m)
     cur = pmf.copy()
-    for _ in range(n - 1):
+    for _ in range(int(n) - 1):
         cur = np.convolve(cur, pmf)
         if cur.size > m + 1:
             cur[m] += cur[m + 1 :].sum()
             cur = cur[: m + 1]
-    suffix = np.concatenate([np.cumsum(cur[::-1])[::-1], [0.0]])
-    out = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        if x < 0:
-            out[i] = 1.0
-        else:
-            k = _cap_index(float(x), dist.h)
-            out[i] = suffix[min(k, m)]
-    return out
+    suffix = np.cumsum(cur[::-1])[::-1]
+    # each x's cap index, the lookup of Lattice.tail; k <= m as x <= x_max
+    k = np.searchsorted(np.arange(m + 1) * dist.h, xs, side="right")
+    return np.where(xs < 0, 1.0, suffix[k])
 
 
 def convolve_tail(dist: Lattice, n: int, x) -> float:
@@ -200,8 +199,13 @@ def pk_truncated(q: QueueModel, x, tol: float = 1e-10, h: float = 0.05) -> PkExa
     return PkExact(value=0.5 * (lo + up), lattice_spacing=h, lower=lo, upper=up)
 
 
+def _estimate(mean, half, n, seed, method, converged=True) -> SimulationEstimate:
+    rel_err = half / mean if mean > 0 else math.inf
+    return SimulationEstimate(mean, half, rel_err, n, seed, method, converged)
+
+
 def _crude(model, rho, x, n_samples, seed, n_offset) -> SimulationEstimate:
-    if n_samples < 100:
+    if not n_samples >= 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
     if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
@@ -211,17 +215,8 @@ def _crude(model, rho, x, n_samples, seed, n_offset) -> SimulationEstimate:
         b1, _ = kernels.crude_batch(model, rho, x, seed, rep0, nb, n_offset)
         hits += b1
     est = hits / n_samples
-    var = est * (1.0 - est)
-    half = _z_value(0.99) * math.sqrt(var / n_samples)
-    rel = half / est if est > 0 else math.inf
-    return SimulationEstimate(
-        estimate=est,
-        half_width=half,
-        rel_err=rel,
-        n_samples=n_samples,
-        seed=seed,
-        method=Method.CRUDE,
-    )
+    half = _z_value(0.99) * math.sqrt(est * (1.0 - est) / n_samples)
+    return _estimate(est, half, n_samples, seed, Method.CRUDE)
 
 
 def crude_mc(q: QueueModel, x, n_samples: int, seed: int = 0) -> SimulationEstimate:
@@ -258,7 +253,7 @@ def ak_estimate_grid(
             raise ValueError(f"x must be nonnegative, got {x}")
     if not target_rel_err > 0:
         raise ValueError(f"target_rel_err must be positive, got {target_rel_err}")
-    if max_samples < 2:
+    if not max_samples >= 2:
         raise ValueError(f"max_samples must be at least 2, got {max_samples}")
     z = _z_value(confidence)
     s1 = [0.0] * len(xs)
@@ -283,19 +278,11 @@ def ak_estimate_grid(
                     continue
             still.append(i)
         active = still
-    out = []
-    for i in range(len(xs)):
-        mean, half = _mean_half(s1[i], s2[i], n[i], z)
-        out.append(SimulationEstimate(
-            estimate=mean,
-            half_width=half,
-            rel_err=half / mean if mean > 0 else math.inf,
-            n_samples=n[i],
-            seed=seed,
-            method=Method.ASMUSSEN_KROESE,
-            converged=converged[i],
-        ))
-    return out
+    return [
+        _estimate(*_mean_half(s1[i], s2[i], n[i], z), n[i], seed,
+                  Method.ASMUSSEN_KROESE, converged[i])
+        for i in range(len(xs))
+    ]
 
 
 def ak_estimate(

@@ -57,6 +57,8 @@ def threshold_rho(model: IntegratedTailModel, x, c: float = 1.0) -> RhoThreshold
     """1 - c kappa log(x)/x, flagged when it escapes (0,1)."""
     if not x > 1:
         raise ValueError(f"x must exceed 1, got {x}")
+    if not c > 0:
+        raise ValueError(f"c must be positive, got {c}")
     k = kappa(model)
     value = 1.0 - c * k * math.log(x) / x
     return RhoThreshold(value=value, in_range=0.0 < value < 1.0)
@@ -67,6 +69,8 @@ def regime_classify(q: QueueModel, x, delta: float = 0.1) -> RegimeReport:
     1-delta, heavy tail above 1+delta, transition otherwise."""
     if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
+    if not delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     k = kappa(q.model)
     inv = 1.0 / (1.0 - q.rho)
     c_value = x * (1.0 - q.rho) / (k * math.log(inv))

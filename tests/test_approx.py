@@ -10,6 +10,7 @@ from scipy.special import ndtri
 from mg1tail import (
     ExponentialIntegrated,
     GeomModel,
+    Lattice,
     ParetoIntegratedTail,
     QueueModel,
     UnsupportedModelError,
@@ -35,7 +36,7 @@ from mg1tail import (
     tail_prob,
     threshold_x,
 )
-from mg1tail.approx import _QUAD_NODES, _quad_nodes, _sigma
+from mg1tail.approx import _QUAD_NODES, _TERM_FLOOR, _quad_nodes, _sigma
 
 Q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
 
@@ -263,3 +264,51 @@ _NAN_GUARDED = {
 def test_nan_x_rejected(name):
     with pytest.raises(ValueError, match="must be nonnegative, got nan"):
         _NAN_GUARDED[name](math.nan)
+
+
+def _ref_s_sum(q, x):
+    """The s_sum loop before its early stop, verbatim."""
+    m = big_m(q, x)
+    mu = q.model.mean()
+    rho = q.rho
+    total = 0.0
+    comp = 0.0
+    weight = (1.0 - rho) * rho  # (1-rho) rho^n at n=1
+    for n in range(1, m + 1):
+        term = weight * n * tail_prob(q.model, x - (n - 1) * mu)
+        weight *= rho
+        if term < _TERM_FLOOR:
+            continue
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+# integer weights keep the mean at 1/6 or more, so M(x) stays small enough
+# for the reference loop
+_lattices = st.lists(st.integers(1, 5), min_size=2, max_size=8).map(
+    lambda w: Lattice(h=1.0, mass=np.array(w) / sum(w)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.one_of(st.floats(2.05, 8.0).map(ParetoIntegratedTail),
+                    st.floats(0.2, 5.0).map(ExponentialIntegrated),
+                    _lattices),
+    rho=st.floats(0.01, 0.999),
+    x=st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 5000.0)),
+)
+@example(model=ParetoIntegratedTail(3.5), rho=0.5, x=5000.0)
+@example(model=ExponentialIntegrated(1.0), rho=0.1, x=3000.0)
+def test_s_sum_equals_full_loop(model, rho, x):
+    q = QueueModel(model=model, rho=rho)
+    assert s_sum(q, x).hex() == _ref_s_sum(q, x).hex()
+
+
+def test_s_sum_at_huge_x_returns_quickly(time_limit):
+    q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
+    with time_limit(10):
+        value = h_approx(q, 1e12)
+    assert 0.0 < value < 1e-25

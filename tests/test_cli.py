@@ -98,6 +98,16 @@ def test_exit_code_usage(capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_nan_lattice_mass_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "lat.txt"
+    p.write_text("1.0 nan\n2.0 1.0\n")
+    code = main(["simulate", "--dist", f"lattice:file={p}", "--rho", "0.5",
+                 "--x", "1.5", "--max-samples", "1000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {p}: masses sum to nan, expected 1\n"
+
+
 def test_exit_code_io(capsys):
     code, _ = run(capsys, "sweep", "--dist", "pareto-it:alpha=3.5", "--rho", "0.8",
                   "--x-min", "1", "--x-max", "10", "--points", "3",

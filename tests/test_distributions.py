@@ -209,6 +209,19 @@ def test_load_lattice_file_errors(tmp_path):
         load_lattice_file(str(p))
 
 
+def test_nan_masses_and_points_rejected(tmp_path):
+    for mass in ([math.nan, 1.0], [0.5, 0.5, math.nan], [math.nan]):
+        with pytest.raises(ValueError, match="mass entries must be nonnegative"):
+            Lattice(h=1.0, mass=mass)
+    p = tmp_path / "lat.txt"
+    p.write_text("1.0 nan\n2.0 1.0\n")
+    with pytest.raises(ValueError, match="masses sum to nan, expected 1"):
+        load_lattice_file(str(p))
+    p.write_text("nan 0.5\n1.0 0.5\n")
+    with pytest.raises(ValueError, match="support points must be nonnegative"):
+        load_lattice_file(str(p))
+
+
 def test_lattice_equality_and_hash():
     a = Lattice(h=1.0, mass=[0.5, 0.5])
     b = Lattice(h=1.0, mass=[0.5, 0.5])

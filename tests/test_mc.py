@@ -26,7 +26,10 @@ from mg1tail import (
     geom_crude_mc,
     lattice_brackets,
     pk_truncated,
+    regime_classify,
+    subexp_sum_approx,
     tail_prob,
+    threshold_rho,
 )
 from mg1tail import mc, rng
 
@@ -200,6 +203,13 @@ def test_pk_independent_of_blas_threads():
                                    capture_output=True, text=True,
                                    check=True).stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("h", [-0.05, 0.0, math.nan, math.inf])
+def test_pk_rejects_bad_spacing(h, time_limit):
+    q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
+    with time_limit(10), pytest.raises(ValueError, match="spacing must be positive"):
+        pk_truncated(q, 1.0, h=h)
 
 
 def test_pk_budget_guard(monkeypatch):
@@ -462,3 +472,39 @@ def test_input_validation():
         pk_truncated(q, -1.0)
     with pytest.raises(ValueError):
         convolve_tail(TWO_POINT, 0, 1.0)
+
+
+_Q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
+_ARGUMENT_CHECKS = {
+    "threshold_rho-c0": (lambda: threshold_rho(_Q.model, 10.0, c=0.0),
+                         "c must be positive"),
+    "threshold_rho-c-neg": (lambda: threshold_rho(_Q.model, 10.0, c=-1.0),
+                            "c must be positive"),
+    "threshold_rho-c-nan": (lambda: threshold_rho(_Q.model, 10.0, c=math.nan),
+                            "c must be positive"),
+    "subexp_sum_approx-n-nan": (lambda: subexp_sum_approx(_Q.model, math.nan, 5.0),
+                                "n must be a positive integer"),
+    "subexp_sum_approx-n-frac": (lambda: subexp_sum_approx(_Q.model, 2.5, 5.0),
+                                 "n must be a positive integer"),
+    "convolve_tail_grid-n-frac": (lambda: convolve_tail_grid(TWO_POINT, 2.5, [1.0]),
+                                  "n must be a positive integer"),
+    "regime_classify-delta-neg": (lambda: regime_classify(_Q, 5.0, delta=-5.0),
+                                  "delta must be nonnegative"),
+    "lattice_brackets-cap-neg": (lambda: lattice_brackets(_Q.model, 0.1, -1.0),
+                                 "cap must be nonnegative"),
+    "lattice_brackets-cap-nan": (lambda: lattice_brackets(_Q.model, 0.1, math.nan),
+                                 "cap must be nonnegative"),
+    "convolve_tail-x-nan": (lambda: convolve_tail(TWO_POINT, 2, math.nan),
+                            "x must not be NaN"),
+    "ak_estimate-max_samples-nan": (lambda: ak_estimate(_Q, 1.0, max_samples=math.nan),
+                                    "max_samples must be at least 2"),
+    "crude_mc-n_samples-nan": (lambda: crude_mc(_Q, 1.0, n_samples=math.nan),
+                               "need at least 100 samples"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARGUMENT_CHECKS))
+def test_argument_checks(name):
+    call, message = _ARGUMENT_CHECKS[name]
+    with pytest.raises(ValueError, match=message):
+        call()
