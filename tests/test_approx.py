@@ -301,7 +301,8 @@ _lattices = st.lists(st.integers(1, 5), min_size=2, max_size=8).map(
     x=st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 5000.0)),
 )
 @example(model=ParetoIntegratedTail(3.5), rho=0.5, x=5000.0)
-@example(model=ExponentialIntegrated(1.0), rho=0.1, x=3000.0)
+# the first terms underflow to 0 and later ones count
+@example(model=ExponentialIntegrated(1.0), rho=0.9, x=3000.0)
 def test_s_sum_equals_full_loop(model, rho, x):
     q = QueueModel(model=model, rho=rho)
     assert s_sum(q, x).hex() == _ref_s_sum(q, x).hex()
