@@ -148,8 +148,8 @@ class Lattice(IntegratedTailModel):
     """Mass vector over the points {0, h, 2h, ...}. Immutable after init."""
 
     def __init__(self, h: float, mass):
-        if not h > 0:
-            raise ValueError(f"spacing must be positive, got {h}")
+        if not 0 < h < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {h}")
         m = np.asarray(mass, dtype=np.float64)
         if m.ndim != 1 or m.size == 0:
             raise ValueError("mass must be a nonempty 1-d vector")

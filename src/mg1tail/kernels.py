@@ -15,21 +15,27 @@ Kernel contract per replication ``rep``:
   the atom term is exactly zero for atomless models, so only lattice models
   compute it.
 
-The summand draws of a batch (about nreps * rho/(1-rho)) go through in
-chunks of at most ``CHUNK_DRAWS``, computed in per-thread buffers that are
-allocated on first use and then reused: draw-sized temporaries allocated
-per batch are handed back to the OS and faulted in again on the next one
-(~880 minor page faults per 10^4-replication batch at rho=0.9).  Sums and
-maxima are accumulated with ``np.add.at``/``np.maximum.at``, which apply
-their updates in index order, so a replication that straddles a chunk edge
-gets the bits of one pass over its draws.
+Column order: the replications of a batch are sorted by draw count, largest
+first, so column j -- draw j+1 of every replication with more than j draws --
+is a prefix of the sorted replications, and its counters are one add to
+their initial states.  The draws go through in column order, in chunks of at
+most ``CHUNK_DRAWS`` computed in per-thread buffers that are allocated on
+first use and then reused (draw-sized temporaries allocated per batch are
+handed back to the OS and faulted in again on the next one).  A column
+updates its prefix of the per-replication sums, maxima and tie counts with
+contiguous adds; the results are scattered back to replication order before
+the per-x step.  So every bit is that of one pass over each replication's
+draws: a sum is still ((0 + x1) + x2) + ... in draw order, a maximum is
+exact, a tie count is an integer, and the sums over replications run in
+replication order.
 
-Memory: the buffers take 32 bytes per chunk draw; a lattice model's
-``quantile`` and tie count add one 8-byte-per-draw temporary at a time; the
-rest is about 100 bytes per replication.  So a batch needs at most
-``40 * CHUNK_DRAWS`` bytes (5 MiB) plus O(nreps) at any rho; arrays over
-the whole batch would need ~56 bytes per draw (5.6 GB for 10^4 replications
-at rho=0.9999).
+Memory: the two buffers take 16 bytes per chunk draw; a lattice model's
+``quantile`` adds one 8-byte-per-draw index at a time; a chunk holds at most
+``CHUNK_PIECES`` columns (or parts of one), about 150 bytes of bookkeeping
+each; the rest is about 100 bytes per replication.  So a batch needs at most
+``24 * CHUNK_DRAWS + 150 * CHUNK_PIECES`` bytes (3.2 MiB) plus O(nreps) at
+any rho; arrays over the whole batch would need ~56 bytes per draw (5.6 GB
+for 10^4 replications at rho=0.9999).
 """
 
 import math
@@ -41,21 +47,23 @@ from . import rng
 from .distributions import Lattice
 
 CHUNK_DRAWS = 2**17
+CHUNK_PIECES = 2**10
 
 _local = threading.local()
+_GOLD = int(rng.GOLD_U64)
 
 
 def _buffers():
-    """This thread's replication-index, counter and draw buffers, and the
-    table of t*GOLD for t < CHUNK_DRAWS."""
+    """This thread's counter and draw buffers."""
     bufs = getattr(_local, "bufs", None)
     if bufs is None or bufs[0].size != CHUNK_DRAWS:
-        bufs = _local.bufs = (
-            np.empty(CHUNK_DRAWS, dtype=np.int64),
-            np.empty(CHUNK_DRAWS, dtype=np.uint64),
-            np.empty(CHUNK_DRAWS, dtype=np.uint64),
-            np.arange(CHUNK_DRAWS, dtype=np.uint64) * rng.GOLD_U64,
-        )
+        # glibc hands the free memory at the top of its heap back to the OS
+        # past a trim threshold of 128 KiB, so each batch would fault its
+        # O(nreps) arrays in again; freeing a block it had to mmap raises
+        # that threshold to twice the block (mallopt(3), M_MMAP_THRESHOLD)
+        np.empty(CHUNK_DRAWS, dtype=np.uint64)
+        bufs = _local.bufs = (np.empty(CHUNK_DRAWS, dtype=np.uint64),
+                              np.empty(CHUNK_DRAWS, dtype=np.uint64))
     return bufs
 
 
@@ -68,29 +76,52 @@ def _counts(rho, seed, rep0, nreps, n_offset):
 
 
 def _draws(model, states, counts):
-    """The summand draws of each replication, flattened, one chunk at a time:
-    yields (lo, hi, r, xs), where xs[i] belongs to replication lo + r[i] and
-    the chunk holds replications lo..hi-1.  r and xs are reused buffers."""
-    idx, z, tmp, tgold = _buffers()
-    ends = np.cumsum(counts)
-    # draw t of the batch is draw j = t - start + 1 of its replication, with
-    # counter state + (j+1)*GOLD = base[rep] + t*GOLD
-    base = states + (np.uint64(2) - (ends - counts).astype(np.uint64)) * rng.GOLD_U64
-    total = int(ends[-1]) if ends.size else 0
-    for t0 in range(0, total, CHUNK_DRAWS):
-        n = min(CHUNK_DRAWS, total - t0)
-        lo = int(np.searchsorted(ends, t0, side="right"))
-        hi = int(np.searchsorted(ends, t0 + n - 1, side="right")) + 1
-        r = idx[:n]
-        r.fill(0)
-        np.add.at(r, ends[lo:hi - 1] - t0, 1)
-        np.cumsum(r, out=r)
-        zc = z[:n]
-        offset = base[lo:hi] + np.uint64(t0 * int(rng.GOLD_U64) & rng._MASK)
-        np.take(offset, r, out=zc, mode="clip")
-        np.add(zc, tgold[:n], out=zc)
-        u = rng.uniforms_inplace(zc, tmp[:n])
-        yield lo, hi, r, model.quantile(u, out=u)
+    """The summand draws of replications sorted by count, largest first, in
+    column order: yields (a, b, xs) with xs[i] draw j+1 of replication a+i,
+    for j = 0, 1, ... and a..b-1 the replications with more than j draws (a
+    column, or its part in one chunk).  xs views a reused buffer."""
+    if not counts.size:
+        return
+    z, tmp = _buffers()
+    pieces = []
+    used = 0
+    start = 0
+    gold = _GOLD
+    # for the k with counts[k-1] > counts[k], columns counts[k]..counts[k-1]-1
+    # hold k draws
+    ks = np.flatnonzero(counts[:-1] != counts[1:]) + 1
+    for k in [counts.size] + ks[::-1].tolist():
+        top = int(counts[k - 1])
+        for j in range(start, top):
+            gold = (gold + _GOLD) & rng._MASK  # (j+2)*GOLD: draw j+1's counter
+            a = 0
+            while a < k:
+                b = min(k, a + CHUNK_DRAWS - used)
+                np.add(states[a:b], gold, out=z[used:used + b - a])
+                pieces.append((a, b, used))
+                used += b - a
+                a = b
+                if used == CHUNK_DRAWS or len(pieces) == CHUNK_PIECES:
+                    yield from _chunk(model, z, tmp, pieces, used)
+                    used = 0
+        start = top
+    yield from _chunk(model, z, tmp, pieces, used)
+
+
+def _chunk(model, z, tmp, pieces, used):
+    """The draws of the pieces (a, b, offset) packed in z[:used], one
+    piece at a time; empties pieces."""
+    u = rng.uniforms_inplace(z[:used], tmp[:used])
+    xs = model.quantile(u, out=u)
+    for a, b, o in pieces:
+        yield a, b, xs[o:o + b - a]
+    pieces.clear()
+
+
+def _unsorted(a, order):
+    out = np.empty_like(a)
+    out[order] = a
+    return out
 
 
 def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
@@ -99,24 +130,23 @@ def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
     are drawn once and a list with one (sum, sum-of-squares) per x is
     returned, each bit-identical to the scalar call at that x."""
     states, n = _counts(rho, seed, rep0, nreps, n_offset)
+    counts = np.maximum(n - 1, 0)
+    order = np.argsort(-counts)
     s = np.zeros(nreps)
     m = np.zeros(nreps)
     lattice = isinstance(model, Lattice)
     ties = np.zeros(nreps)
-    for lo, hi, r, xs in _draws(model, states, np.maximum(n - 1, 0)):
-        np.add.at(s[lo:hi], r, xs)
-        top = m[lo]
-        np.maximum.at(m[lo:hi], r, xs)
+    for a, b, xs in _draws(model, states[order], counts[order]):
+        s[a:b] += xs
+        mc = m[a:b]
         if lattice:
-            # replication lo may go on from the previous chunk; a new max
-            # there voids the ties counted so far
-            if m[lo] > top:
-                ties[lo] = 0.0
-            eq = np.take(m[lo:hi], r, mode="clip")
-            np.add.at(ties[lo:hi], r, np.equal(xs, eq, out=eq))
-            del eq  # not alive with the next chunk's draws
+            tc = ties[a:b]
+            tc *= xs <= mc  # a new maximum voids the ties counted so far
+            tc += xs >= mc
+        np.maximum(mc, xs, out=mc)
+    s, m = _unsorted(s, order), _unsorted(m, order)
     if lattice:
-        extra = n * model.atom(m) / (ties + 1.0)
+        extra = n * model.atom(m) / (_unsorted(ties, order) + 1.0)
     grid = np.ndim(x) > 0
     sums = []
     # each x gets its own contiguous 1-d v, reduced by the same 1-d sums as
@@ -133,8 +163,10 @@ def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
 def crude_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
     """Count of compound-geometric samples exceeding x in the batch."""
     states, n = _counts(rho, seed, rep0, nreps, n_offset)
-    w = np.zeros(nreps)
-    for lo, hi, r, xs in _draws(model, states, np.maximum(n, 0)):
-        np.add.at(w[lo:hi], r, xs)
+    counts = np.maximum(n, 0)
+    order = np.argsort(-counts)
+    w = np.zeros(nreps)  # in sorted order; the count does not see the order
+    for a, b, xs in _draws(model, states[order], counts[order]):
+        w[a:b] += xs
     hits = float(np.count_nonzero(w > x))
     return hits, hits

@@ -103,6 +103,8 @@ def lattice_brackets(model: IntegratedTailModel, h: float, cap: float):
         raise ValueError("model is already a lattice")
     if not cap >= 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
+    if cap == math.inf:
+        raise ValueError("cap must be finite, got inf")
     m = _cap_index(cap, h)
     tails = np.array([tail_prob(model, k * h) for k in range(m + 1)])
     upper = np.zeros(m + 1)
@@ -130,8 +132,8 @@ def convolve_tail_grid(dist: Lattice, n: int, xs) -> np.ndarray:
     if not (n >= 1 and n % 1 == 0):
         raise ValueError(f"n must be a positive integer, got {n}")
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if np.isnan(xs).any():
-        raise ValueError("x must not be NaN")
+    if not (xs < math.inf).all():
+        raise ValueError("x must not be NaN or +inf")
     if n * dist.mass.size > _CELL_BUDGET:
         raise ResourceBudgetError(
             f"convolution needs {n * dist.mass.size} lattice cells, "
@@ -183,6 +185,8 @@ def pk_truncated(q: QueueModel, x, tol: float = 1e-10, h: float = 0.05) -> PkExa
     the result: the recursion has no truncation term."""
     if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
+    if x == math.inf:
+        raise ValueError("x must be finite, got inf")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     lattice = isinstance(q.model, Lattice)

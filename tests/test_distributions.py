@@ -81,6 +81,8 @@ def test_lattice_validation():
         Lattice(h=1.0, mass=[0.6, -0.1, 0.5])
     with pytest.raises(ValueError):
         Lattice(h=1.0, mass=[0.5, 0.4])  # sums to 0.9
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        Lattice(h=math.inf, mass=[0.5, 0.5])
 
 
 def test_means():

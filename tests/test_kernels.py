@@ -246,6 +246,30 @@ def test_full_chunks_equal_whole_batch_reference(model):
             assert kernels.crude_batch(*c) == _ref_crude_batch(*c)
 
 
+# Column-order edge cases: a lattice with all mass at 0 (every draw ties at a
+# maximum of 0; at x = -1 every atom term counts, so the tie counts show), two
+# points that tie half the time, and one replication of 3238 draws (seed 11),
+# so every column is one draw.
+@pytest.mark.parametrize("chunk", [kernels.CHUNK_DRAWS, 1], ids=["default-chunk", "chunk-1"])
+@pytest.mark.parametrize("model, rho, seed, nreps", [
+    (Lattice(h=1.0, mass=[1.0]), 0.95, 5, 300),
+    (Lattice(h=0.5, mass=[0.5, 0.5]), 0.95, 5, 300),
+    (MODELS[0], 0.999, 11, 1),
+    (MODELS[2], 0.999, 11, 1),
+], ids=["lattice-at-0", "two-point", "one-rep-pareto", "one-rep-lattice"])
+def test_column_edge_cases_equal_whole_batch_reference(model, rho, seed, nreps, chunk,
+                                                       monkeypatch):
+    if nreps == 1:
+        assert _ref_counts(rho, seed, 0, 1, 0)[1][0] == 3238
+    monkeypatch.setattr(kernels, "CHUNK_DRAWS", chunk)
+    for n_offset in (0, 1):
+        a = (model, rho, [-1.0, 0.0, 0.5, 3.0, 40.0], seed, 0, nreps, n_offset)
+        assert kernels.ak_batch(*a) == _ref_ak_batch(*a)
+        for x in (-1.0, 0.5, 40.0):
+            c = (model, rho, x, seed, 0, nreps, n_offset)
+            assert kernels.crude_batch(*c) == _ref_crude_batch(*c)
+
+
 def test_threads_get_serial_results(monkeypatch):
     # each thread has its own buffers; shared ones would mix the threads' draws
     monkeypatch.setattr(kernels, "CHUNK_DRAWS", 64)

@@ -496,6 +496,12 @@ _ARGUMENT_CHECKS = {
                                  "cap must be nonnegative"),
     "convolve_tail-x-nan": (lambda: convolve_tail(TWO_POINT, 2, math.nan),
                             "x must not be NaN"),
+    "convolve_tail-x-inf": (lambda: convolve_tail(TWO_POINT, 2, math.inf),
+                            r"x must not be NaN or \+inf"),
+    "lattice_brackets-cap-inf": (lambda: lattice_brackets(_Q.model, 0.1, math.inf),
+                                 "cap must be finite"),
+    "pk_truncated-x-inf": (lambda: pk_truncated(_Q, math.inf),
+                           "x must be finite"),
     "ak_estimate-max_samples-nan": (lambda: ak_estimate(_Q, 1.0, max_samples=math.nan),
                                     "max_samples must be at least 2"),
     "crude_mc-n_samples-nan": (lambda: crude_mc(_Q, 1.0, n_samples=math.nan),
