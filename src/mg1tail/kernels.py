@@ -119,6 +119,7 @@ def _chunk(model, z, tmp, pieces, used):
 
 
 def _unsorted(a, order):
+    """a, given in the sorted order, back in replication order."""
     out = np.empty_like(a)
     out[order] = a
     return out

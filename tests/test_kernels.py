@@ -316,6 +316,20 @@ def test_batch_memory_is_bounded_by_the_chunk(model, rho, monkeypatch):
     assert peak < 40 * kernels.CHUNK_DRAWS + 256 * nreps
 
 
+def test_tail_column_bookkeeping_is_bounded(monkeypatch):
+    # one replication of ~32k draws, so every column is one draw: without the
+    # cap on pieces per chunk, one chunk would hold ~32k of them
+    monkeypatch.setattr(kernels, "_local", threading.local())  # fresh buffers
+    tracemalloc.start()
+    try:
+        kernels.ak_batch(MODELS[0], 0.9999, [1.0, 10.0], 11, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _ref_counts(0.9999, 11, 0, 1, 0)[1][0] > 30_000
+    assert peak < 24 * kernels.CHUNK_DRAWS + 150 * kernels.CHUNK_PIECES + 2**16
+
+
 def test_top_uniform_maps_to_top_lattice_point():
     # cum[-1] is exactly 1.0, so a u < 1 never passes the last point ...
     lat = Lattice(h=0.1, mass=[0.1] * 10)
