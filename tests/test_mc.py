@@ -20,16 +20,29 @@ from mg1tail import (
     SimulationEstimate,
     ak_estimate,
     ak_estimate_grid,
+    big_m,
     convolve_tail,
     convolve_tail_grid,
+    corrected_heavy_traffic,
+    cramer_lundberg_tail,
     crude_mc,
     geom_crude_mc,
+    geom_gamma,
+    geom_threshold,
+    geometric_term,
+    heavy_tail,
+    heavy_traffic,
+    j_approx,
     lattice_brackets,
     pk_truncated,
     regime_classify,
+    s_sum,
     subexp_sum_approx,
+    t_tail,
+    t_tail_z,
     tail_prob,
     threshold_rho,
+    threshold_x,
 )
 from mg1tail import mc, rng
 
@@ -475,25 +488,60 @@ def test_input_validation():
 
 
 _Q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
+_G = GeomModel(y_model=ParetoIntegratedTail(alpha=4.0), p=0.2)
+_EXP = ExponentialIntegrated(rate=1.0)
+_NEG_X = r"^x must be nonnegative, got -1\.0$"
+# the anchored cases pin each argument check's full message, and the "order"
+# cases which of two failing checks a function runs first
 _ARGUMENT_CHECKS = {
     "threshold_rho-c0": (lambda: threshold_rho(_Q.model, 10.0, c=0.0),
-                         "c must be positive"),
+                         r"^c must be positive, got 0\.0$"),
     "threshold_rho-c-neg": (lambda: threshold_rho(_Q.model, 10.0, c=-1.0),
-                            "c must be positive"),
+                            r"^c must be positive, got -1\.0$"),
     "threshold_rho-c-nan": (lambda: threshold_rho(_Q.model, 10.0, c=math.nan),
-                            "c must be positive"),
+                            r"^c must be positive, got nan$"),
+    "threshold_rho-order": (lambda: threshold_rho(_Q.model, 0.5, c=0.0),
+                            r"^x must exceed 1, got 0\.5$"),
+    "threshold_x-c0": (lambda: threshold_x(_Q, c=0.0),
+                       r"^c must be positive, got 0\.0$"),
+    "geom_threshold-c0": (lambda: geom_threshold(_G, c=0.0),
+                          r"^c must be positive, got 0\.0$"),
+    "ExponentialIntegrated-rate0": (lambda: ExponentialIntegrated(rate=0.0),
+                                    r"^rate must be positive, got 0\.0$"),
+    "tail_prob-x-neg": (lambda: tail_prob(_Q.model, -1.0), _NEG_X),
+    "heavy_traffic-x-neg": (lambda: heavy_traffic(_Q, -1.0), _NEG_X),
+    "heavy_tail-x-neg": (lambda: heavy_tail(_Q, -1.0), _NEG_X),
+    "big_m-x-neg": (lambda: big_m(_Q, -1.0), _NEG_X),
+    "s_sum-x-neg": (lambda: s_sum(_Q, -1.0), _NEG_X),
+    "geometric_term-x-neg": (lambda: geometric_term(_Q, -1.0), _NEG_X),
+    "j_approx-x-neg": (lambda: j_approx(_Q, -1.0), _NEG_X),
+    "geom_gamma-x-neg": (lambda: geom_gamma(_G, -1.0), _NEG_X),
+    "t_tail-x-neg": (lambda: t_tail(_Q, -1.0), _NEG_X),
+    "t_tail_z-x-neg": (lambda: t_tail_z(_Q, -1.0), _NEG_X),
+    "subexp_sum_approx-x-neg": (lambda: subexp_sum_approx(_Q.model, 2, -1.0), _NEG_X),
     "subexp_sum_approx-n-nan": (lambda: subexp_sum_approx(_Q.model, math.nan, 5.0),
                                 "n must be a positive integer"),
     "subexp_sum_approx-n-frac": (lambda: subexp_sum_approx(_Q.model, 2.5, 5.0),
                                  "n must be a positive integer"),
+    "subexp_sum_approx-order": (lambda: subexp_sum_approx(_Q.model, 2.5, -1.0),
+                                r"^n must be a positive integer, got 2\.5$"),
+    "cramer_lundberg_tail-x-neg": (lambda: cramer_lundberg_tail(_EXP, 0.5, -1.0), _NEG_X),
+    "corrected_heavy_traffic-x_scaled-neg": (
+        lambda: corrected_heavy_traffic(_EXP, 0.5, -1.0),
+        r"^x_scaled must be nonnegative, got -1\.0$"),
+    "corrected_heavy_traffic-order": (
+        lambda: corrected_heavy_traffic(_EXP, 1.5, -1.0),
+        r"^x_scaled must be nonnegative, got -1\.0$"),
     "convolve_tail_grid-n-frac": (lambda: convolve_tail_grid(TWO_POINT, 2.5, [1.0]),
                                   "n must be a positive integer"),
+    "regime_classify-x-neg": (lambda: regime_classify(_Q, -1.0), _NEG_X),
     "regime_classify-delta-neg": (lambda: regime_classify(_Q, 5.0, delta=-5.0),
-                                  "delta must be nonnegative"),
+                                  r"^delta must be nonnegative, got -5\.0$"),
+    "regime_classify-order": (lambda: regime_classify(_Q, -1.0, delta=-5.0), _NEG_X),
     "lattice_brackets-cap-neg": (lambda: lattice_brackets(_Q.model, 0.1, -1.0),
-                                 "cap must be nonnegative"),
+                                 r"^cap must be nonnegative, got -1\.0$"),
     "lattice_brackets-cap-nan": (lambda: lattice_brackets(_Q.model, 0.1, math.nan),
-                                 "cap must be nonnegative"),
+                                 r"^cap must be nonnegative, got nan$"),
     "convolve_tail-x-nan": (lambda: convolve_tail(TWO_POINT, 2, math.nan),
                             "x must not be NaN"),
     "convolve_tail-x-inf": (lambda: convolve_tail(TWO_POINT, 2, math.inf),
@@ -502,10 +550,22 @@ _ARGUMENT_CHECKS = {
                                  "cap must be finite"),
     "pk_truncated-x-inf": (lambda: pk_truncated(_Q, math.inf),
                            "x must be finite"),
+    "pk_truncated-x-neg": (lambda: pk_truncated(_Q, -1.0), _NEG_X),
+    "pk_truncated-tol0": (lambda: pk_truncated(_Q, 1.0, tol=0.0),
+                          r"^tol must be positive, got 0\.0$"),
+    "pk_truncated-order": (lambda: pk_truncated(_Q, -1.0, tol=0.0), _NEG_X),
     "ak_estimate-max_samples-nan": (lambda: ak_estimate(_Q, 1.0, max_samples=math.nan),
                                     "max_samples must be at least 2"),
+    "ak_estimate-target_rel_err0": (lambda: ak_estimate(_Q, 1.0, target_rel_err=0.0),
+                                    r"^target_rel_err must be positive, got 0\.0$"),
+    "ak_estimate-order": (lambda: ak_estimate(_Q, -1.0, target_rel_err=0.0), _NEG_X),
+    "ak_estimate_grid-x-neg": (lambda: ak_estimate_grid(_Q, [1.0, -1.0]), _NEG_X),
     "crude_mc-n_samples-nan": (lambda: crude_mc(_Q, 1.0, n_samples=math.nan),
                                "need at least 100 samples"),
+    "crude_mc-x-neg": (lambda: crude_mc(_Q, -1.0, 100), _NEG_X),
+    "crude_mc-order": (lambda: crude_mc(_Q, -1.0, 50),
+                       r"^need at least 100 samples, got 50$"),
+    "geom_crude_mc-x-neg": (lambda: geom_crude_mc(_G, -1.0, 100), _NEG_X),
 }
 
 
