@@ -129,6 +129,14 @@ def test_threshold_output(capsys):
     assert rec["regime"] == "heavy-tail"
 
 
+def test_threshold_without_crossing(capsys):
+    # so close to rho = 1 the curves do not cross before the search gives up
+    code, out = run(capsys, "threshold", "--dist", "pareto-it:alpha=3.5",
+                    "--rho", "0.999999999999")
+    assert code == 0
+    assert parse_record(out)["crossing_point"] == "none"
+
+
 def test_simulate_output(capsys):
     code, out = run(capsys, "simulate", "--dist", "exp:rate=1", "--rho", "0.5",
                     "--x", "2", "--seed", "7")
