@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .distributions import IntegratedTailModel, QueueModel, tail_prob
-from .errors import UnsupportedModelError
+from .errors import UnsupportedModelError, check_nonnegative
 
 # terms below this magnitude are skipped so summation order quirks at the
 # subnormal boundary cannot leak into results
@@ -47,22 +47,19 @@ class ApproximationPoint:
 
 
 def heavy_traffic(q: QueueModel, x) -> float:
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    check_nonnegative("x", x)
     mu = q.model.mean()
     return math.exp(-(1.0 - q.rho) * x / mu)
 
 
 def heavy_tail(q: QueueModel, x) -> float:
     """Raw asymptote; may exceed 1 at small x (reported unclamped)."""
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    check_nonnegative("x", x)
     return q.rho / (1.0 - q.rho) * tail_prob(q.model, x)
 
 
 def big_m(q: QueueModel, x) -> int:
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    check_nonnegative("x", x)
     try:
         beta = 1.0 / min(2.0, q.model.tail_index())
     except UnsupportedModelError:
@@ -82,7 +79,9 @@ def s_sum(q: QueueModel, x) -> float:
     comp = 0.0
     weight = (1.0 - rho) * rho  # (1-rho) rho^n at n=1
     for n in range(1, m + 1):
-        term = weight * n * tail_prob(q.model, x - (n - 1) * mu)
+        # x - (n-1)mu >= x^beta + mu > 0 for n <= M(x), so the model's own
+        # method needs no argument check
+        term = weight * n * q.model.tail_prob(x - (n - 1) * mu)
         weight *= rho
         if term < _TERM_FLOOR:
             # later terms are <= weight * m * F, F <= 1 + 1e-12: all skipped
@@ -97,8 +96,7 @@ def s_sum(q: QueueModel, x) -> float:
 
 
 def geometric_term(q: QueueModel, x) -> float:
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    check_nonnegative("x", x)
     mu = q.model.mean()
     return q.rho ** (x / mu)
 
@@ -112,8 +110,7 @@ def _two_term(model: IntegratedTailModel, r: float, s: float, x):
     for r = 1-s in (0,1): the queue form at (rho, 1-rho) and the geometric-sum
     form at (1-p, p).  gamma lies in [0,1) since with t = s x/mu one has
     r^{x/mu} <= e^{-t} and e^{-t}(1+t) <= 1."""
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    check_nonnegative("x", x)
     mu = model.mean()
     g = r ** (x / mu)
     # keep the half-open range when the complement underflows past 1 ulp
@@ -148,8 +145,7 @@ def _phi_tail(u: float) -> float:
 def t_tail(q: QueueModel, x) -> float:
     """Series form, truncated at the smallest N with rho^{N+1} < 1e-12 (each
     remaining term is at most (1-rho) rho^n)."""
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    check_nonnegative("x", x)
     sigma = _sigma(q)
     mu = q.model.mean()
     rho = q.rho
@@ -191,8 +187,7 @@ def t_tail_z(q: QueueModel, x) -> float:
     t(z) = sqrt(x/mu + (sigma z/(2 mu))^2) - sigma z/(2 mu); equals the series
     exactly (Abel summation over P(floor(t(Z)^2) >= n) = Phi((x-n mu)/(sigma
     sqrt(n)))), so the two implementations cross-check each other."""
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    check_nonnegative("x", x)
     sigma = _sigma(q)
     mu = q.model.mean()
     rho = q.rho
@@ -230,8 +225,7 @@ def subexp_sum_approx(model: IntegratedTailModel, n: int, x) -> float:
     """n F̄(max(0, x-(n-1)mu)), the one-big-jump surrogate for P(S_n > x)."""
     if not (n >= 1 and n % 1 == 0):
         raise ValueError(f"n must be a positive integer, got {n}")
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    check_nonnegative("x", x)
     mu = model.mean()
     return n * tail_prob(model, max(0.0, x - (n - 1) * mu))
 

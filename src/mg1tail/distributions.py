@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .errors import UnsupportedModelError
+from .errors import UnsupportedModelError, check_nonnegative, check_positive
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,7 @@ class ExponentialIntegrated(IntegratedTailModel):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        check_positive("rate", self.rate)
 
     def tail_prob(self, x: float) -> float:
         return math.exp(-self.rate * x)
@@ -228,8 +227,7 @@ class QueueModel:
 
 def tail_prob(model: IntegratedTailModel, x) -> float:
     """P(X > x) for the integrated-tail variable."""
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    check_nonnegative("x", x)
     return model.tail_prob(x)
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that
+every module runs: each fails on NaN, since NaN fails every comparison."""
 
 
 class Mg1TailError(Exception):
@@ -19,3 +20,13 @@ class ResourceBudgetError(Mg1TailError):
 class NoCrossingError(Mg1TailError):
     """Raised when the exponential and power-law tail curves do not cross
     inside the search interval."""
+
+
+def check_nonnegative(name: str, value) -> None:
+    if not value >= 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def check_positive(name: str, value) -> None:
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")

@@ -13,6 +13,7 @@ import math
 
 from .approx import _two_term
 from .distributions import IntegratedTailModel
+from .errors import check_positive
 from .transition import kappa
 
 
@@ -44,6 +45,5 @@ def geom_tail_approx(g: GeomModel, x) -> float:
 def geom_threshold(g: GeomModel, c: float = 1.0) -> float:
     """y(p) = c tau p^{-1} log(1/p), the scale where the exponential and
     power contributions change places."""
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
+    check_positive("c", c)
     return c * g.tau / g.p * math.log(1.0 / g.p)

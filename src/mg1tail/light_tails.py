@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import math
 
 from .distributions import ExponentialIntegrated
-from .errors import UnsupportedModelError
+from .errors import UnsupportedModelError, check_nonnegative
 
 _RESIDUAL_TOL = 1e-12
 
@@ -59,8 +59,7 @@ def adjustment_coefficient(model, rho) -> AdjustmentCoefficient:
 def cramer_lundberg_tail(model, rho, x) -> float:
     """exp(-theta* x): exact decay rate, constant-free (the exact M/M/1
     prefactor is rho, approached only as rho tends to 1)."""
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    check_nonnegative("x", x)
     theta = adjustment_coefficient(model, rho).theta_star
     return math.exp(-theta * x)
 
@@ -70,8 +69,7 @@ def corrected_heavy_traffic(model, rho, x_scaled) -> float:
     x_scaled (1-rho)^{-2}: exp of
     -2 x (1-rho)^{-1} EV/EV2 + x EV3/(3 EV2) - (x/4) EV2/EV."""
     _require_exponential(model)
-    if not x_scaled >= 0:
-        raise ValueError(f"x_scaled must be nonnegative, got {x_scaled}")
+    check_nonnegative("x_scaled", x_scaled)
     if not 0 < rho < 1:
         raise ValueError(f"rho must lie in (0,1), got {rho}")
     mom = model.service_moments()

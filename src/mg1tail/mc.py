@@ -39,7 +39,7 @@ from .distributions import (
     QueueModel,
     tail_prob,
 )
-from .errors import ResourceBudgetError
+from .errors import ResourceBudgetError, check_nonnegative, check_positive
 from .geom import GeomModel
 
 BATCH_SIZE = 10_000
@@ -101,8 +101,7 @@ def lattice_brackets(model: IntegratedTailModel, h: float, cap: float):
     ``cap`` is lumped at the top point."""
     if isinstance(model, Lattice):
         raise ValueError("model is already a lattice")
-    if not cap >= 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
+    check_nonnegative("cap", cap)
     if cap == math.inf:
         raise ValueError("cap must be finite, got inf")
     m = _cap_index(cap, h)
@@ -183,12 +182,10 @@ def pk_truncated(q: QueueModel, x, tol: float = 1e-10, h: float = 0.05) -> PkExa
     ``lower``/``upper`` the rigorous enclosure.  A lattice model is its own
     bracket, so lower == upper.  ``tol`` must be positive but does not change
     the result: the recursion has no truncation term."""
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    check_nonnegative("x", x)
     if x == math.inf:
         raise ValueError("x must be finite, got inf")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_positive("tol", tol)
     lattice = isinstance(q.model, Lattice)
     if lattice:
         h = q.model.h
@@ -211,8 +208,7 @@ def _estimate(mean, half, n, seed, method, converged=True) -> SimulationEstimate
 def _crude(model, rho, x, n_samples, seed, n_offset) -> SimulationEstimate:
     if not n_samples >= 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    check_nonnegative("x", x)
     hits = 0.0
     for rep0 in range(0, n_samples, BATCH_SIZE):
         nb = min(BATCH_SIZE, n_samples - rep0)
@@ -253,10 +249,8 @@ def ak_estimate_grid(
     estimate equals the single-x call field for field."""
     xs = list(xs)
     for x in xs:
-        if not x >= 0:
-            raise ValueError(f"x must be nonnegative, got {x}")
-    if not target_rel_err > 0:
-        raise ValueError(f"target_rel_err must be positive, got {target_rel_err}")
+        check_nonnegative("x", x)
+    check_positive("target_rel_err", target_rel_err)
     if not max_samples >= 2:
         raise ValueError(f"max_samples must be at least 2, got {max_samples}")
     z = _z_value(confidence)

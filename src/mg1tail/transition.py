@@ -16,7 +16,8 @@ from enum import Enum
 import math
 
 from .distributions import IntegratedTailModel, QueueModel
-from .errors import NoCrossingError, UnsupportedModelError
+from .errors import (NoCrossingError, UnsupportedModelError, check_nonnegative,
+                     check_positive)
 
 
 class Regime(Enum):
@@ -46,8 +47,7 @@ def kappa(model: IntegratedTailModel) -> float:
 
 
 def threshold_x(q: QueueModel, c: float = 1.0) -> float:
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
+    check_positive("c", c)
     k = kappa(q.model)
     inv = 1.0 / (1.0 - q.rho)
     return c * k * inv * math.log(inv)
@@ -57,8 +57,7 @@ def threshold_rho(model: IntegratedTailModel, x, c: float = 1.0) -> RhoThreshold
     """1 - c kappa log(x)/x, flagged when it escapes (0,1)."""
     if not x > 1:
         raise ValueError(f"x must exceed 1, got {x}")
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
+    check_positive("c", c)
     k = kappa(model)
     value = 1.0 - c * k * math.log(x) / x
     return RhoThreshold(value=value, in_range=0.0 < value < 1.0)
@@ -67,10 +66,8 @@ def threshold_rho(model: IntegratedTailModel, x, c: float = 1.0) -> RhoThreshold
 def regime_classify(q: QueueModel, x, delta: float = 0.1) -> RegimeReport:
     """Implied c = x(1-rho)/(kappa log((1-rho)^{-1})); heavy traffic below
     1-delta, heavy tail above 1+delta, transition otherwise."""
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if not delta >= 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    check_nonnegative("x", x)
+    check_nonnegative("delta", delta)
     k = kappa(q.model)
     inv = 1.0 / (1.0 - q.rho)
     c_value = x * (1.0 - q.rho) / (k * math.log(inv))
