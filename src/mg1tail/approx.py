@@ -23,7 +23,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from .distributions import IntegratedTailModel, QueueModel, tail_prob
 from .errors import UnsupportedModelError, check_nonnegative
@@ -176,7 +175,9 @@ _QUAD_CHUNK = 1 << 16
 @functools.cache
 def _quad_nodes() -> np.ndarray:
     """The quadrature nodes z_i in increasing order, built on first use and
-    shared read-only by every call."""
+    shared read-only by every call; the package imports scipy only here."""
+    from scipy.special import ndtri
+
     z = ndtri((np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES)
     z.flags.writeable = False
     return z

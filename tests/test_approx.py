@@ -1,4 +1,6 @@
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtri
 
+import mg1tail
 from mg1tail import (
     ExponentialIntegrated,
     GeomModel,
@@ -177,12 +180,15 @@ def test_quad_nodes_cached_read_only():
     assert not z.flags.writeable
     # midpoint nodes reach only |z| = 5.03, so no node is ever dropped
     assert z.size == _QUAD_NODES
-    # built on first use, not when the package is imported
-    probe = ("import mg1tail.approx as a; "
-             "print(a._quad_nodes.cache_info().currsize)")
+    # built on first use, not when the package or its CLI is imported, and
+    # scipy is not loaded before then either
+    probe = ("import sys, mg1tail.cli, mg1tail.approx as a; "
+             "print(a._quad_nodes.cache_info().currsize, "
+             "'scipy.special' in sys.modules)")
+    src = str(pathlib.Path(mg1tail.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "0"
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_h_clt_decomposition():
