@@ -4,6 +4,8 @@ and heavy-tail regimes, the transition threshold between them, and exact /
 Monte Carlo ground truth to judge them against.
 """
 
+import types
+
 __version__ = "0.1.0"
 
 from .approx import (
@@ -70,59 +72,6 @@ from .transition import (
     threshold_x,
 )
 
-__all__ = [
-    "ApproximationPoint",
-    "AdjustmentCoefficient",
-    "ExponentialIntegrated",
-    "GeomModel",
-    "Lattice",
-    "Method",
-    "Mg1TailError",
-    "NoCrossingError",
-    "ParetoIntegratedTail",
-    "PkExact",
-    "QueueModel",
-    "Regime",
-    "RegimeReport",
-    "ResourceBudgetError",
-    "RhoThreshold",
-    "ServiceMoments",
-    "SimulationEstimate",
-    "UnsupportedModelError",
-    "adjustment_coefficient",
-    "ak_estimate",
-    "ak_estimate_grid",
-    "approximation_point",
-    "big_m",
-    "convolve_tail",
-    "convolve_tail_grid",
-    "corrected_heavy_traffic",
-    "cramer_lundberg_tail",
-    "crossing_point",
-    "crude_mc",
-    "gamma_factor",
-    "geom_crude_mc",
-    "geom_gamma",
-    "geom_tail_approx",
-    "geom_threshold",
-    "geometric_term",
-    "h_approx",
-    "h_clt",
-    "heavy_tail",
-    "heavy_traffic",
-    "j_approx",
-    "kappa",
-    "lattice_brackets",
-    "load_lattice_file",
-    "parse_model",
-    "pk_truncated",
-    "regime_classify",
-    "s_sum",
-    "sample_x",
-    "subexp_sum_approx",
-    "t_tail",
-    "t_tail_z",
-    "tail_prob",
-    "threshold_rho",
-    "threshold_x",
-]
+# every public name imported above; pydoc lists only what __all__ names
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
