@@ -44,7 +44,8 @@ from mg1tail import (
     threshold_rho,
     threshold_x,
 )
-from mg1tail import mc, rng
+from mg1tail import mc
+from reference_kernels import _ref_ak_batch
 
 TWO_POINT = Lattice(h=1.0, mass=[0.0, 0.5, 0.5])
 
@@ -332,43 +333,6 @@ def test_ak_stop_rule():
     assert capped.n_samples == 60_000
 
 
-# Verbatim copy of the whole-batch draw helpers that the chunked kernels
-# replaced, so that the per-x reference below does not run the chunk loop.
-def _counts(rho, seed, rep0, nreps, n_offset):
-    reps = (np.uint64(rep0) + np.arange(nreps, dtype=np.uint64))
-    states = rng.substream_states_np(int(seed), reps)
-    u0 = rng.uniforms_np(states, np.zeros(nreps, dtype=np.uint64))
-    n = np.floor(np.log(u0) / math.log(rho)).astype(np.int64) + n_offset
-    return states, n
-
-
-def _draws(model, states, counts):
-    """All summand draws, flattened, plus the replication index per draw."""
-    total = int(counts.sum())
-    rep_idx = np.repeat(np.arange(counts.size), counts)
-    seg_start = np.cumsum(counts) - counts
-    j = np.arange(total, dtype=np.int64) - seg_start[rep_idx] + 1
-    us = rng.uniforms_np(states[rep_idx], j.astype(np.uint64))
-    return rep_idx, model.quantile(us)
-
-
-def _ak_batch_per_x(model, rho, x, seed, rep0, nreps, n_offset=0):
-    """Reference: the single-x kernel, drawing every replication anew for
-    each x."""
-    states, n = _counts(rho, seed, rep0, nreps, n_offset)
-    rep_idx, xs = _draws(model, states, np.maximum(n - 1, 0))
-    s = np.bincount(rep_idx, weights=xs, minlength=nreps)
-    m = np.zeros(nreps)
-    np.maximum.at(m, rep_idx, xs)
-    t = np.maximum(m, x - s)
-    v = np.where(n >= 1, n * model.tail(t), 0.0)
-    if isinstance(model, Lattice):
-        ties = np.bincount(rep_idx, weights=(xs == m[rep_idx]), minlength=nreps)
-        extra = n * model.atom(m) / (ties + 1.0)
-        v = v + np.where((n >= 1) & (s + m > x), extra, 0.0)
-    return float(v.sum()), float((v * v).sum())
-
-
 def _ak_estimate_per_x(q, x, target_rel_err=0.05, confidence=0.99, seed=0,
                        max_samples=50_000_000):
     """Reference: the single-x estimator loop with its own stopping rule."""
@@ -385,7 +349,7 @@ def _ak_estimate_per_x(q, x, target_rel_err=0.05, confidence=0.99, seed=0,
     converged = False
     while n < max_samples:
         nb = min(mc.BATCH_SIZE, max_samples - n)
-        b1, b2 = _ak_batch_per_x(q.model, q.rho, x, seed, n, nb)
+        b1, b2 = _ref_ak_batch(q.model, q.rho, x, seed, n, nb)
         s1 += b1
         s2 += b2
         n += nb
