@@ -25,12 +25,14 @@ import math
 import numpy as np
 
 from .distributions import IntegratedTailModel, QueueModel, tail_prob
-from .errors import UnsupportedModelError, check_nonnegative
+from .errors import UnsupportedModelError, check_finite, check_nonnegative
 
 # terms below this magnitude are skipped so summation order quirks at the
 # subnormal boundary cannot leak into results
 _TERM_FLOOR = 1e-300
 _SERIES_TOL = 1e-12
+# elements per vector chunk in t_tail and t_tail_z, which bounds their memory
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,7 @@ def heavy_tail(q: QueueModel, x) -> float:
 
 def big_m(q: QueueModel, x) -> int:
     check_nonnegative("x", x)
+    check_finite("x", x)
     try:
         beta = 1.0 / min(2.0, q.model.tail_index())
     except UnsupportedModelError:
@@ -110,6 +113,7 @@ def _two_term(model: IntegratedTailModel, r: float, s: float, x):
     form at (1-p, p).  gamma lies in [0,1) since with t = s x/mu one has
     r^{x/mu} <= e^{-t} and e^{-t}(1+t) <= 1."""
     check_nonnegative("x", x)
+    check_finite("x", x)
     mu = model.mean()
     g = r ** (x / mu)
     # keep the half-open range when the complement underflows past 1 ulp
@@ -136,14 +140,10 @@ def _sigma(q: QueueModel) -> float:
     return math.sqrt(var)
 
 
-def _phi_tail(u: float) -> float:
-    """1 - Phi(u) for scalar u."""
-    return 0.5 * math.erfc(u / math.sqrt(2.0))
-
-
 def t_tail(q: QueueModel, x) -> float:
     """Series form, truncated at the smallest N with rho^{N+1} < 1e-12 (each
-    remaining term is at most (1-rho) rho^n)."""
+    remaining term is at most (1-rho) rho^n); the terms are built as vectors,
+    _CHUNK at a time, the weights multiplied in sequence, and added in order."""
     check_nonnegative("x", x)
     sigma = _sigma(q)
     mu = q.model.mean()
@@ -152,24 +152,27 @@ def t_tail(q: QueueModel, x) -> float:
     total = 0.0
     comp = 0.0
     weight = (1.0 - rho) * rho
-    for n in range(1, n_max + 1):
-        z = (x - n * mu) / (sigma * math.sqrt(n))
-        term = weight * _phi_tail(z)
-        weight *= rho
-        if term < _TERM_FLOOR:
-            continue
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    for lo in range(1, n_max + 1, _CHUNK):
+        n = np.arange(lo, min(lo + _CHUNK, n_max + 1), dtype=float)
+        # sigma = 0 (a one-point law): z = +-inf, and NaN at x = n mu, dropped below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (x - n * mu) / (sigma * np.sqrt(n)) / math.sqrt(2.0)
+        weights = np.cumprod(np.concatenate(([weight], np.full(n.size - 1, rho))))
+        weight = weights[-1] * rho
+        terms = weights * (0.5 * np.array(list(map(math.erfc, z.tolist()))))
+        for term in terms[terms >= _TERM_FLOOR].tolist():
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
     return total
 
 
 # midpoint rule in the probability domain: u_i = (i+0.5)/K, z_i = Phi^{-1}(u_i);
 # the outermost nodes sit at |z| = 5.03
 _QUAD_NODES = 2_000_001
-# nodes per chunk when t_tail_z finds its exponents
-_QUAD_CHUNK = 1 << 16
+# nodes per block over which t_tail_z bounds the exponent
+_QUAD_BLOCK = 256
 
 
 @functools.cache
@@ -183,38 +186,78 @@ def _quad_nodes() -> np.ndarray:
     return z
 
 
+def _exponent_bounds(w_lo, w_hi, c):
+    """Bounds on floor(t^2) + 1, t = sqrt(c + w^2) - w, over w in [w_lo, w_hi]
+    (the proof is in t_tail_z)."""
+    s_lo = np.sqrt(c + np.maximum(np.maximum(w_lo, -w_hi), 0.0) ** 2)
+    s_hi = np.sqrt(c + np.maximum(-w_lo, w_hi) ** 2)
+    t_lo, t_hi = s_lo - w_hi, s_hi - w_lo
+    return (np.floor(np.maximum(np.maximum(t_lo, -t_hi), 0.0) ** 2) + 1.0,
+            np.floor(np.maximum(-t_lo, t_hi) ** 2) + 1.0)
+
+
+def _runs(rows, row_starts, a, c):
+    """(first node, exponent) of each run of equal exponents along the rows of
+    nodes, row i starting at node row_starts[i]; each row starts a run."""
+    w = a * rows
+    # t = sqrt(c + w^2) - w, then floor(t^2), in place; a run of floor(t^2)
+    # lies within a run of the exponent, which is 1 more
+    t = w * w
+    t += c
+    np.sqrt(t, out=t)
+    t -= w
+    t *= t
+    np.floor(t, out=t)
+    new = np.empty(t.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(t[:, 1:], t[:, :-1], out=new[:, 1:])
+    k = np.flatnonzero(new)
+    return row_starts[k // t.shape[1]] + k % t.shape[1], t.ravel()[k] + 1.0
+
+
 def t_tail_z(q: QueueModel, x) -> float:
     """Normal-expectation form E[rho^{floor(t(Z)^2)+1}] with
     t(z) = sqrt(x/mu + (sigma z/(2 mu))^2) - sigma z/(2 mu); equals the series
     exactly (Abel summation over P(floor(t(Z)^2) >= n) = Phi((x-n mu)/(sigma
-    sqrt(n)))), so the two implementations cross-check each other."""
+    sqrt(n)))), so the two implementations cross-check each other.
+
+    The exponent is bounded per block of _QUAD_BLOCK nodes and evaluated node
+    by node only where the bounds differ.  Rounding to nearest is monotone
+    (Higham 2002, ch. 2), so on a block of increasing nodes w = fl(a z), a >= 0,
+    lies in [w_lo, w_hi], s = fl(sqrt(fl(c + fl(w^2)))) between its values at
+    min|w| (0 if the block straddles z = 0) and max|w|, t = fl(s - w) in
+    [fl(s_lo - w_hi), fl(s_hi - w_lo)], and floor(fl(t t)) + 1 between its
+    values at min|t| (0 if that range holds 0: t can be -1 ulp at x = 0) and
+    max|t|."""
     check_nonnegative("x", x)
     sigma = _sigma(q)
     mu = q.model.mean()
     rho = q.rho
     z = _quad_nodes()
     a = sigma / (2.0 * mu)
-    # expo is piecewise constant along the sorted nodes, so exp runs once per
-    # run of equal exponents (monotonicity is not assumed: a rounding wiggle
-    # only adds a run).  The exponents are found chunk by chunk, so that the
-    # only node-sized temporary is the one the sum needs; a run cut at a chunk
-    # edge expands to the same values.
-    starts, run_expo = [], []
-    for lo in range(0, z.size, _QUAD_CHUNK):
-        zc = z[lo:lo + _QUAD_CHUNK]
-        t = np.sqrt(x / mu + (a * zc) ** 2) - a * zc
-        expo = np.floor(t * t) + 1.0
-        first = np.concatenate(([0], np.flatnonzero(expo[1:] != expo[:-1]) + 1))
-        starts.append(first + lo)
-        run_expo.append(expo[first])
-    starts = np.concatenate(starts)
-    run_expo = np.concatenate(run_expo)
-    e = run_expo * math.log(rho)
+    c = x / mu
+    n_blocks = z.size // _QUAD_BLOCK
+    blocks = z[:n_blocks * _QUAD_BLOCK].reshape(n_blocks, _QUAD_BLOCK)
+    first = np.arange(n_blocks) * _QUAD_BLOCK
+    lower, upper = _exponent_bounds(a * blocks[:, 0], a * blocks[:, -1], c)
+    shut = lower == upper
+    # the open blocks _CHUNK nodes at a time, which bounds the temporaries (a
+    # group of consecutive blocks is read in place), then the last 129 nodes
+    opened = np.flatnonzero(~shut)
+    step = _CHUNK // _QUAD_BLOCK
+    groups = (opened[i:i + step] for i in range(0, opened.size, step))
+    runs = [_runs(blocks[g[0]:g[-1] + 1] if g[-1] - g[0] == g.size - 1 else blocks[g],
+                  first[g], a, c) for g in groups]
+    runs.append(_runs(z[first[-1] + _QUAD_BLOCK:][None], first[-1:] + _QUAD_BLOCK, a, c))
+    starts = np.concatenate([r[0] for r in runs])
+    # a shut block is one run; exp runs once per run
+    at = np.searchsorted(starts, first[shut])
+    e = np.insert(np.concatenate([r[1] for r in runs]), at, lower[shut]) * math.log(rho)
     vals = np.exp(e)
     vals[e < -745.0] = 0.0
     # one value per node again: numpy's pairwise summation order depends on
     # the array length
-    vals = np.repeat(vals, np.diff(starts, append=z.size))
+    vals = np.repeat(vals, np.diff(np.insert(starts, at, first[shut]), append=z.size))
     return float(vals.sum() / _QUAD_NODES)
 
 
@@ -233,16 +276,17 @@ def subexp_sum_approx(model: IntegratedTailModel, n: int, x) -> float:
 
 def approximation_point(q: QueueModel, x) -> ApproximationPoint:
     """Bundle of every closed-form value at one x (CLT column only when the
-    variance is finite)."""
+    variance is finite); S(rho, x) is computed once for h and h_clt."""
+    s = s_sum(q, x)
     try:
-        clt = h_clt(q, x)
+        clt = s + t_tail(q, x)
     except UnsupportedModelError:
         clt = None
     return ApproximationPoint(
         x=float(x),
         heavy_traffic=heavy_traffic(q, x),
         heavy_tail=heavy_tail(q, x),
-        h=h_approx(q, x),
+        h=s + geometric_term(q, x),
         j=j_approx(q, x),
         h_clt=clt,
         geometric_term=geometric_term(q, x),

@@ -45,7 +45,7 @@ from .approx import (
     j_approx,
 )
 from .distributions import ParetoIntegratedTail, QueueModel, parse_model
-from .errors import NoCrossingError, ResourceBudgetError, UnsupportedModelError
+from .errors import NoCrossingError, ResourceBudgetError, UnsupportedModelError, check_finite
 from .geom import GeomModel, geom_gamma, geom_tail_approx, geom_threshold
 from .light_tails import corrected_heavy_traffic, cramer_lundberg_tail
 from .mc import ak_estimate, ak_estimate_grid, crude_mc, geom_crude_mc
@@ -170,6 +170,8 @@ def cmd_simulate(args) -> int:
 def _sweep_grid(args) -> np.ndarray:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    check_finite("--x-min", args.x_min)
+    check_finite("--x-max", args.x_max)
     if args.x_max < args.x_min:
         raise ValueError("--x-max must be >= --x-min")
     if args.points == 1:

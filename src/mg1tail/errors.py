@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the argument checks that
 every module runs: each fails on NaN, since NaN fails every comparison."""
 
+import math
+
 
 class Mg1TailError(Exception):
     """Base class for package-specific errors."""
@@ -30,3 +32,8 @@ def check_nonnegative(name: str, value) -> None:
 def check_positive(name: str, value) -> None:
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
+
+
+def check_finite(name: str, value) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")

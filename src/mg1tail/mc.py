@@ -39,7 +39,7 @@ from .distributions import (
     QueueModel,
     tail_prob,
 )
-from .errors import ResourceBudgetError, check_nonnegative, check_positive
+from .errors import ResourceBudgetError, check_finite, check_nonnegative, check_positive
 from .geom import GeomModel
 
 BATCH_SIZE = 10_000
@@ -102,8 +102,7 @@ def lattice_brackets(model: IntegratedTailModel, h: float, cap: float):
     if isinstance(model, Lattice):
         raise ValueError("model is already a lattice")
     check_nonnegative("cap", cap)
-    if cap == math.inf:
-        raise ValueError("cap must be finite, got inf")
+    check_finite("cap", cap)
     m = _cap_index(cap, h)
     tails = np.array([tail_prob(model, k * h) for k in range(m + 1)])
     upper = np.zeros(m + 1)
@@ -183,8 +182,7 @@ def pk_truncated(q: QueueModel, x, tol: float = 1e-10, h: float = 0.05) -> PkExa
     bracket, so lower == upper.  ``tol`` must be positive but does not change
     the result: the recursion has no truncation term."""
     check_nonnegative("x", x)
-    if x == math.inf:
-        raise ValueError("x must be finite, got inf")
+    check_finite("x", x)
     check_positive("tol", tol)
     lattice = isinstance(q.model, Lattice)
     if lattice:

@@ -3,6 +3,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +41,15 @@ from mg1tail import (
     tail_prob,
     threshold_x,
 )
-from mg1tail.approx import _QUAD_NODES, _TERM_FLOOR, _quad_nodes, _sigma
+from mg1tail.approx import (
+    _QUAD_BLOCK,
+    _QUAD_NODES,
+    _SERIES_TOL,
+    _TERM_FLOOR,
+    _exponent_bounds,
+    _quad_nodes,
+    _sigma,
+)
 
 Q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
 
@@ -169,9 +179,106 @@ def _t_tail_z_per_node(q, x):
 )
 # a subnormal result, where a change to the -745 clamp shows in the bits
 @example(model=ParetoIntegratedTail(3.5), rho=0.5, x=1960.0)
+# x = 0: a computed t dips to -1 ulp, so the lower bound on t^2 must be 0
+@example(model=ParetoIntegratedTail(3.125), rho=0.5, x=0.0)
+@example(model=ParetoIntegratedTail(3.5), rho=0.5, x=5e-324)
+# every block open
+@example(model=ParetoIntegratedTail(3.01), rho=0.8, x=1e6)
+# x/mu = 3: the exponent steps from 4 to 3 at z = 0, inside the block that
+# straddles it
+@example(model=ExponentialIntegrated(1.0), rho=0.5, x=3.0)
 def test_t_tail_z_bit_identical_to_per_node_form(model, rho, x):
     q = QueueModel(model=model, rho=rho)
     assert t_tail_z(q, x) == _t_tail_z_per_node(q, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    z=st.one_of(
+        # a block of the quadrature nodes, the short last one included
+        st.integers(0, _QUAD_NODES // _QUAD_BLOCK).map(
+            lambda b: _quad_nodes()[b * _QUAD_BLOCK:(b + 1) * _QUAD_BLOCK]),
+        st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=300).map(np.sort),
+    ),
+    a=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    c=st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e7)),
+)
+@example(z=np.array([-1e-4, 0.0, 1e-4]), a=1.0, c=3.0)
+@example(z=np.array([0.5, 1.0]), a=1.0, c=0.0)
+def test_exponent_bounds_hold_every_node(z, a, c):
+    w = a * z
+    t = np.sqrt(c + w ** 2) - w
+    expo = np.floor(t * t) + 1.0
+    lower, upper = _exponent_bounds(w[:1], w[-1:], c)
+    assert lower[0] <= expo.min() and expo.max() <= upper[0]
+
+
+def test_t_tail_at_zero_variance_is_the_step_limit():
+    # a one-point law: 1 - Phi((x - n mu)/0) is 0 for n mu < x and 1 for
+    # n mu > x, and the term at n mu = x is dropped, as in t_tail_z
+    q = QueueModel(model=Lattice(h=1.0, mass=[0.0, 1.0]), rho=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (2.0, 2.5):
+            assert abs(t_tail(q, x) - t_tail_z(q, x)) <= 1e-12
+            assert abs(t_tail(q, x) - 0.125) <= 1e-12
+
+
+def test_infinite_x_gives_zero_tail_terms():
+    for fn in (heavy_tail, t_tail, t_tail_z):
+        assert fn(Q, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("x", [0.5, 100.0, 1e4, 1e6])
+def test_t_tail_z_memory_is_bounded(x):
+    _quad_nodes()  # the cached nodes are not part of one call
+    tracemalloc.start()
+    try:
+        t_tail_z(Q, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the one node-sized array is the repeat that the sum needs (15.3 MiB)
+    assert peak <= 17 * 2**20
+
+
+def _ref_t_tail(q, x):
+    """The t_tail loop before its terms became vectors, verbatim, with
+    _phi_tail inlined."""
+    sigma = _sigma(q)
+    mu = q.model.mean()
+    rho = q.rho
+    n_max = math.ceil(math.log(_SERIES_TOL) / math.log(rho))
+    total = 0.0
+    comp = 0.0
+    weight = (1.0 - rho) * rho
+    for n in range(1, n_max + 1):
+        z = (x - n * mu) / (sigma * math.sqrt(n))
+        term = weight * (0.5 * math.erfc(z / math.sqrt(2.0)))
+        weight *= rho
+        if term < _TERM_FLOOR:
+            continue
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.one_of(st.floats(3.05, 8.0).map(ParetoIntegratedTail),
+                    st.floats(0.1, 10.0).map(ExponentialIntegrated)),
+    rho=st.floats(0.01, 0.9999),
+    x=st.one_of(st.just(0.0), st.floats(0.0, 1e5)),
+)
+# n_max = 276,297: the series crosses four chunk edges
+@example(model=ParetoIntegratedTail(3.5), rho=0.9999, x=50.0)
+# n_max = 65,537: one term past the first chunk
+@example(model=ExponentialIntegrated(1.0), rho=math.exp(math.log(1e-12) / 65536.5), x=3e4)
+def test_t_tail_equals_scalar_loop(model, rho, x):
+    q = QueueModel(model=model, rho=rho)
+    assert t_tail(q, x) == _ref_t_tail(q, x)
 
 
 def test_quad_nodes_cached_read_only():
@@ -180,6 +287,8 @@ def test_quad_nodes_cached_read_only():
     assert not z.flags.writeable
     # midpoint nodes reach only |z| = 5.03, so no node is ever dropped
     assert z.size == _QUAD_NODES
+    # t_tail_z's block bounds take each block's end nodes as its extremes
+    assert (np.diff(z) > 0).all()
     # built on first use, not when the package or its CLI is imported, and
     # scipy is not loaded before then either
     probe = ("import sys, mg1tail.cli, mg1tail.approx as a; "
@@ -215,9 +324,10 @@ def test_subexp_sum_approx():
 def test_approximation_point_bundle():
     pt = approximation_point(Q, 10.0)
     assert pt.x == 10.0
-    assert math.isclose(pt.h, h_approx(Q, 10.0), rel_tol=1e-14)
+    # S(rho, x) is computed once for both columns, with the same bits
+    assert pt.h == h_approx(Q, 10.0)
     assert math.isclose(pt.j, j_approx(Q, 10.0), rel_tol=1e-14)
-    assert pt.h_clt is not None
+    assert pt.h_clt == h_clt(Q, 10.0)
     q25 = QueueModel(model=ParetoIntegratedTail(alpha=2.5), rho=0.8)
     assert approximation_point(q25, 10.0).h_clt is None
 

@@ -98,6 +98,17 @@ def test_exit_code_usage(capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_infinite_x_is_a_usage_error(tmp_path, capsys):
+    for method in ("j", "h"):
+        assert main(["approx", "--dist", "pareto-it:alpha=3.5", "--rho", "0.8",
+                     "--x", "inf", "--method", method]) == 2
+        assert capsys.readouterr().err == "error: x must be finite, got inf\n"
+    assert main(["sweep", "--dist", "pareto-it:alpha=3.5", "--rho", "0.8",
+                 "--x-min", "1", "--x-max", "inf", "--points", "3",
+                 "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == "error: --x-max must be finite, got inf\n"
+
+
 def test_nan_lattice_mass_is_a_usage_error(tmp_path, capsys):
     p = tmp_path / "lat.txt"
     p.write_text("1.0 nan\n2.0 1.0\n")

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import math
 import os
@@ -20,12 +21,14 @@ from mg1tail import (
     SimulationEstimate,
     ak_estimate,
     ak_estimate_grid,
+    approximation_point,
     big_m,
     convolve_tail,
     convolve_tail_grid,
     corrected_heavy_traffic,
     cramer_lundberg_tail,
     crude_mc,
+    gamma_factor,
     geom_crude_mc,
     geom_gamma,
     geom_threshold,
@@ -45,6 +48,7 @@ from mg1tail import (
     threshold_x,
 )
 from mg1tail import mc
+from mg1tail.cli import _sweep_grid
 from reference_kernels import _ref_ak_batch
 
 TWO_POINT = Lattice(h=1.0, mass=[0.0, 0.5, 0.5])
@@ -455,6 +459,13 @@ _Q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
 _G = GeomModel(y_model=ParetoIntegratedTail(alpha=4.0), p=0.2)
 _EXP = ExponentialIntegrated(rate=1.0)
 _NEG_X = r"^x must be nonnegative, got -1\.0$"
+_INF_X = r"^x must be finite, got inf$"
+
+
+def _grid_args(x_min=1.0, x_max=10.0):
+    return argparse.Namespace(points=3, x_min=x_min, x_max=x_max, log_grid=False)
+
+
 # the anchored cases pin each argument check's full message, and the "order"
 # cases which of two failing checks a function runs first
 _ARGUMENT_CHECKS = {
@@ -476,6 +487,18 @@ _ARGUMENT_CHECKS = {
     "heavy_traffic-x-neg": (lambda: heavy_traffic(_Q, -1.0), _NEG_X),
     "heavy_tail-x-neg": (lambda: heavy_tail(_Q, -1.0), _NEG_X),
     "big_m-x-neg": (lambda: big_m(_Q, -1.0), _NEG_X),
+    "big_m-x-inf": (lambda: big_m(_Q, math.inf), _INF_X),
+    "s_sum-x-inf": (lambda: s_sum(_Q, math.inf), _INF_X),
+    "approximation_point-x-inf": (lambda: approximation_point(_Q, math.inf), _INF_X),
+    "j_approx-x-inf": (lambda: j_approx(_Q, math.inf), _INF_X),
+    "gamma_factor-x-inf": (lambda: gamma_factor(_Q, math.inf), _INF_X),
+    "geom_gamma-x-inf": (lambda: geom_gamma(_G, math.inf), _INF_X),
+    "sweep-x_max-inf": (lambda: _sweep_grid(_grid_args(x_max=math.inf)),
+                        r"^--x-max must be finite, got inf$"),
+    "sweep-x_max-nan": (lambda: _sweep_grid(_grid_args(x_max=math.nan)),
+                        r"^--x-max must be finite, got nan$"),
+    "sweep-x_min-nan": (lambda: _sweep_grid(_grid_args(x_min=math.nan)),
+                        r"^--x-min must be finite, got nan$"),
     "s_sum-x-neg": (lambda: s_sum(_Q, -1.0), _NEG_X),
     "geometric_term-x-neg": (lambda: geometric_term(_Q, -1.0), _NEG_X),
     "j_approx-x-neg": (lambda: j_approx(_Q, -1.0), _NEG_X),
@@ -511,9 +534,8 @@ _ARGUMENT_CHECKS = {
     "convolve_tail-x-inf": (lambda: convolve_tail(TWO_POINT, 2, math.inf),
                             r"x must not be NaN or \+inf"),
     "lattice_brackets-cap-inf": (lambda: lattice_brackets(_Q.model, 0.1, math.inf),
-                                 "cap must be finite"),
-    "pk_truncated-x-inf": (lambda: pk_truncated(_Q, math.inf),
-                           "x must be finite"),
+                                 r"^cap must be finite, got inf$"),
+    "pk_truncated-x-inf": (lambda: pk_truncated(_Q, math.inf), _INF_X),
     "pk_truncated-x-neg": (lambda: pk_truncated(_Q, -1.0), _NEG_X),
     "pk_truncated-tol0": (lambda: pk_truncated(_Q, 1.0, tol=0.0),
                           r"^tol must be positive, got 0\.0$"),
