@@ -154,8 +154,10 @@ def t_tail(q: QueueModel, x) -> float:
     weight = (1.0 - rho) * rho
     for lo in range(1, n_max + 1, _CHUNK):
         n = np.arange(lo, min(lo + _CHUNK, n_max + 1), dtype=float)
-        # sigma = 0 (a one-point law): z = +-inf, and NaN at x = n mu, dropped below
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # no warnings: z overflows to +-inf near the float maximum, as in the
+        # scalar loop, and at sigma = 0 (a one-point law) it is +-inf, or NaN
+        # at x = n mu, which the floor test below drops
+        with np.errstate(all="ignore"):
             z = (x - n * mu) / (sigma * np.sqrt(n)) / math.sqrt(2.0)
         weights = np.cumprod(np.concatenate(([weight], np.full(n.size - 1, rho))))
         weight = weights[-1] * rho

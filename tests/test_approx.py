@@ -213,7 +213,7 @@ def test_exponent_bounds_hold_every_node(z, a, c):
     assert lower[0] <= expo.min() and expo.max() <= upper[0]
 
 
-def test_t_tail_at_zero_variance_is_the_step_limit():
+def test_t_tail_step_limit_and_overflow_without_warnings():
     # a one-point law: 1 - Phi((x - n mu)/0) is 0 for n mu < x and 1 for
     # n mu > x, and the term at n mu = x is dropped, as in t_tail_z
     q = QueueModel(model=Lattice(h=1.0, mass=[0.0, 1.0]), rho=0.5)
@@ -222,6 +222,8 @@ def test_t_tail_at_zero_variance_is_the_step_limit():
         for x in (2.0, 2.5):
             assert abs(t_tail(q, x) - t_tail_z(q, x)) <= 1e-12
             assert abs(t_tail(q, x) - 0.125) <= 1e-12
+        # x / sigma overflows to inf, as it did in the scalar loop
+        assert t_tail(QueueModel(model=ExponentialIntegrated(10.0), rho=0.5), 1.7e308) == 0.0
 
 
 def test_infinite_x_gives_zero_tail_terms():
