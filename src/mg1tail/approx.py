@@ -180,10 +180,15 @@ _QUAD_BLOCK = 256
 @functools.cache
 def _quad_nodes() -> np.ndarray:
     """The quadrature nodes z_i in increasing order, built on first use and
-    shared read-only by every call; the package imports scipy only here."""
+    shared read-only by every call; the package imports scipy only here.  Each
+    step works in place on the one node array, so the build needs no second
+    node-sized array and gives the bits of ndtri((arange(K) + 0.5) / K)."""
     from scipy.special import ndtri
 
-    z = ndtri((np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES)
+    z = np.arange(_QUAD_NODES, dtype=float)
+    z += 0.5
+    z /= _QUAD_NODES
+    ndtri(z, out=z)
     z.flags.writeable = False
     return z
 

@@ -296,10 +296,25 @@ def test_quad_nodes_cached_read_only():
     probe = ("import sys, mg1tail.cli, mg1tail.approx as a; "
              "print(a._quad_nodes.cache_info().currsize, "
              "'scipy.special' in sys.modules)")
+    assert _fresh_python(probe).split() == ["0", "False"]
+
+
+def _fresh_python(probe):
+    """stdout of `python -c probe` in a fresh interpreter that imports this
+    mg1tail."""
     src = str(pathlib.Path(mg1tail.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.split() == ["0", "False"]
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+
+
+def test_quad_nodes_built_in_one_array():
+    z = _quad_nodes.__wrapped__()
+    assert np.array_equal(z, ndtri((np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES))
+    # scipy is imported before tracing starts, so the peak is the build's
+    probe = ("import tracemalloc, scipy.special, mg1tail.approx as a; "
+             "tracemalloc.start(); a._quad_nodes.__wrapped__(); "
+             "print(tracemalloc.get_traced_memory()[1])")
+    assert int(_fresh_python(probe)) <= _QUAD_NODES * 8 + 2**20
 
 
 def test_h_clt_decomposition():
