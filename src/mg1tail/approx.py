@@ -222,6 +222,25 @@ def _runs(rows, row_starts, a, c):
     return row_starts[k // t.shape[1]] + k % t.shape[1], t.ravel()[k] + 1.0
 
 
+# numpy sums a contiguous float64 array by a fixed halving tree: it splits n
+# at n//2 - (n//2 mod 8) down to blocks of at most 128, which it sums with 8
+# accumulators; _run_sum follows the tree down to leaves of at most this many
+# nodes, which must be >= 128 so that numpy's own split governs below them
+_SUM_LEAF = 1 << 18
+
+
+def _run_sum(starts, vals, lo, hi):
+    """The sum of the values of nodes lo to hi - 1, run i holding vals[i] from
+    node starts[i] on (starts[0] <= lo), bit for bit as numpy sums them in one
+    array, with at most _SUM_LEAF node values at a time (Higham 2002, ch. 4)."""
+    n = hi - lo
+    if n > _SUM_LEAF:
+        mid = lo + n // 2 - n // 2 % 8
+        return _run_sum(starts, vals, lo, mid) + _run_sum(starts, vals, mid, hi)
+    i, j = np.searchsorted(starts, (lo, hi), side="right")
+    return np.repeat(vals[i - 1:j], np.diff(np.maximum(starts[i - 1:j], lo), append=hi)).sum()
+
+
 def t_tail_z(q: QueueModel, x) -> float:
     """Normal-expectation form E[rho^{floor(t(Z)^2)+1}] with
     t(z) = sqrt(x/mu + (sigma z/(2 mu))^2) - sigma z/(2 mu); equals the series

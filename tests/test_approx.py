@@ -48,8 +48,10 @@ from mg1tail.approx import (
     _TERM_FLOOR,
     _exponent_bounds,
     _quad_nodes,
+    _run_sum,
     _sigma,
 )
+import mg1tail.approx
 
 Q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
 
@@ -211,6 +213,29 @@ def test_exponent_bounds_hold_every_node(z, a, c):
     expo = np.floor(t * t) + 1.0
     lower, upper = _exponent_bounds(w[:1], w[-1:], c)
     assert lower[0] <= expo.min() and expo.max() <= upper[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 300_000), st.just(_QUAD_NODES)),
+    runs=st.integers(1, 10**6),
+    # None keeps the module's leaf; small leaves make the tree cross many
+    leaf=st.one_of(st.none(), st.integers(128, 1000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=_QUAD_NODES, runs=500, leaf=None, seed=0)
+@example(n=129, runs=129, leaf=128, seed=1)
+@example(n=8 * 977 + 5, runs=3000, leaf=128, seed=2)
+def test_run_sum_follows_numpy_pairwise_order(n, runs, leaf, seed):
+    rng = np.random.default_rng(seed)
+    starts = np.unique(np.concatenate(([0], rng.integers(1, max(n, 2), min(runs, n) - 1))))
+    # signs and magnitudes that make every change of order show in the bits
+    vals = rng.standard_normal(starts.size) * 10.0 ** rng.uniform(-8, 8, starts.size)
+    full = float(np.repeat(vals, np.diff(starts, append=n)).sum())
+    with pytest.MonkeyPatch.context() as mp:
+        if leaf is not None:
+            mp.setattr(mg1tail.approx, "_SUM_LEAF", leaf)
+        assert float(_run_sum(starts, vals, 0, n)) == full
 
 
 def test_t_tail_step_limit_and_overflow_without_warnings():
