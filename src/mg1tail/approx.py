@@ -238,7 +238,8 @@ def _run_sum(starts, vals, lo, hi):
         mid = lo + n // 2 - n // 2 % 8
         return _run_sum(starts, vals, lo, mid) + _run_sum(starts, vals, mid, hi)
     i, j = np.searchsorted(starts, (lo, hi), side="right")
-    return np.repeat(vals[i - 1:j], np.diff(np.maximum(starts[i - 1:j], lo), append=hi)).sum()
+    counts = np.diff(np.maximum(starts[i - 1:j], lo), append=hi)
+    return np.repeat(vals[i - 1:j], counts).sum()
 
 
 def t_tail_z(q: QueueModel, x) -> float:
@@ -281,10 +282,9 @@ def t_tail_z(q: QueueModel, x) -> float:
     e = np.insert(np.concatenate([r[1] for r in runs]), at, lower[shut]) * math.log(rho)
     vals = np.exp(e)
     vals[e < -745.0] = 0.0
-    # one value per node again: numpy's pairwise summation order depends on
-    # the array length
-    vals = np.repeat(vals, np.diff(np.insert(starts, at, first[shut]), append=z.size))
-    return float(vals.sum() / _QUAD_NODES)
+    # the bits of the sum over one value per node, without that array
+    total = _run_sum(np.insert(starts, at, first[shut]), vals, 0, z.size)
+    return float(total / _QUAD_NODES)
 
 
 def h_clt(q: QueueModel, x) -> float:
