@@ -10,6 +10,7 @@ diagnostics are printed alongside the verdict.
 import math
 
 import numpy as np
+import pytest
 
 from mg1tail import (
     ExponentialIntegrated,
@@ -69,6 +70,7 @@ def test_criterion_1_positive_wait_probability():
     assert ok, notes
 
 
+@pytest.mark.slow
 def test_criterion_2_mm1_exactness():
     # exp service: exact tail rho*exp(-(1-rho)x); CI coverage in >= 18/20 runs
     model = ExponentialIntegrated(rate=1.0)
@@ -138,6 +140,7 @@ def test_criterion_3_regime_profiles_vs_mc():
     assert not failures, f"{len(failures)} grid clauses exceed 15%"
 
 
+@pytest.mark.slow
 def test_criterion_4_deviation_shrinks_toward_saturation():
     # worst |approx/MC - 1| over its regime's grid is nonincreasing in rho
     model = ParetoIntegratedTail(alpha=3.5)
