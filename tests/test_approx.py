@@ -51,7 +51,6 @@ from mg1tail.approx import (
     _run_sum,
     _sigma,
 )
-import mg1tail.approx
 
 Q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
 
