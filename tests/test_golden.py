@@ -271,6 +271,18 @@ def sweep_bytes(name, fmt, directory):
     return path.read_bytes()
 
 
+# long enough that the sweep's h_clt column is built over the whole grid at
+# once, and at rho=0.99, where most normal tails saturate at 1 or underflow
+GRID_SWEEP = ["--dist", "pareto-it:alpha=3.5", "--rho", "0.99", "--x-min", "1",
+              "--x-max", "4600", "--points", "64", "--log-grid"]
+
+
+def grid_sweep_bytes(directory):
+    path = pathlib.Path(directory) / "sweep-grid.csv"
+    assert main(["sweep", *GRID_SWEEP, "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
 def _load(name):
     return json.loads((GOLDEN / name).read_text())
 
@@ -310,6 +322,10 @@ def test_sweep_bytes_match_golden(name, fmt, tmp_path, capsys):
     assert got == (GOLDEN / f"sweep-{name}.{fmt}").read_bytes()
 
 
+def test_grid_sweep_bytes_match_golden(tmp_path):
+    assert grid_sweep_bytes(tmp_path) == (GOLDEN / "sweep-grid.csv").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for fname, data in (("kernels.json", kernel_sums()),
@@ -324,3 +340,4 @@ if __name__ == "__main__":
     for name in SWEEPS:
         for fmt in ("csv", "json"):
             sweep_bytes(name, fmt, GOLDEN)
+    grid_sweep_bytes(GOLDEN)
