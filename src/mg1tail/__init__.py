@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .approx import (
     ApproximationPoint,
+    approximation_grid,
     approximation_point,
     big_m,
     gamma_factor,
@@ -22,6 +23,7 @@ from .approx import (
     s_sum,
     subexp_sum_approx,
     t_tail,
+    t_tail_grid,
     t_tail_z,
 )
 from .distributions import (

@@ -13,8 +13,9 @@ integrated-tail law X has mean mu and tail F̄.  The approximations here:
   gamma = 1 - rho^{x/mu}(1 + (1-rho)x/mu), provably in [0,1);
 * t_tail / h_clt:  the normal-refined geometric term
   T(rho,x) = sum_{n>=1} (1-rho) rho^n (1 - Phi((x-n mu)/(sigma sqrt(n))))
-  replacing rho^{x/mu}; t_tail_z evaluates the same quantity as a normal
-  expectation E[rho^{floor(t(Z)^2)+1}] by deterministic quadrature;
+  replacing rho^{x/mu}, summed over a whole x-grid at once by t_tail_grid;
+  t_tail_z evaluates the same quantity as a normal expectation
+  E[rho^{floor(t(Z)^2)+1}] by deterministic quadrature;
 * subexp_sum_approx:  the n-fold convolution surrogate n F̄(x-(n-1)mu).
 """
 
@@ -31,8 +32,12 @@ from .errors import UnsupportedModelError, check_finite, check_nonnegative
 # subnormal boundary cannot leak into results
 _TERM_FLOOR = 1e-300
 _SERIES_TOL = 1e-12
-# elements per vector chunk in t_tail and t_tail_z, which bounds their memory
+# elements per vector chunk in t_tail_z, which bounds its memory
 _CHUNK = 1 << 16
+# elements per (n, x) block of t_tail_grid's terms, which bounds its memory
+_GRID_BLOCK = 1 << 14
+# shorter grids add each x's terms in a Python loop, cheaper there than numpy
+_GRID_MIN = 36
 
 
 @dataclass(frozen=True)
@@ -140,34 +145,62 @@ def _sigma(q: QueueModel) -> float:
     return math.sqrt(var)
 
 
-def t_tail(q: QueueModel, x) -> float:
-    """Series form, truncated at the smallest N with rho^{N+1} < 1e-12 (each
-    remaining term is at most (1-rho) rho^n); the terms are built as vectors,
-    _CHUNK at a time, the weights multiplied in sequence, and added in order."""
-    check_nonnegative("x", x)
+def t_tail_grid(q: QueueModel, xs) -> list[float]:
+    """T(rho, x) at each x of xs: the series to the smallest N with rho^{N+1} < 1e-12
+    (each later term is at most (1-rho) rho^n), built in (n, x) blocks, and each
+    x's terms added in order by a compensated sum (Higham 2002, sec. 4.3): per x
+    in a Python loop on grids shorter than _GRID_MIN, else once per n for all x."""
+    for x in xs:
+        check_nonnegative("x", x)
     sigma = _sigma(q)
     mu = q.model.mean()
     rho = q.rho
     n_max = math.ceil(math.log(_SERIES_TOL) / math.log(rho))
-    total = 0.0
-    comp = 0.0
+    x = np.array(xs, dtype=float)
+    total, comp, ys, ts, cs = (np.zeros(x.size) for _ in range(5))
     weight = (1.0 - rho) * rho
-    for lo in range(1, n_max + 1, _CHUNK):
-        n = np.arange(lo, min(lo + _CHUNK, n_max + 1), dtype=float)
-        # no warnings: z overflows to +-inf near the float maximum, as in the
-        # scalar loop, and at sigma = 0 (a one-point law) it is +-inf, or NaN
-        # at x = n mu, which the floor test below drops
+    rows = _GRID_BLOCK // max(x.size, 1) or 1
+    for lo in range(1, n_max + 1, rows):
+        n = np.arange(lo, min(lo + rows, n_max + 1), dtype=float)[:, None]
+        # no warnings: z is +-inf on overflow or for a one-point law, NaN there at x = n mu
         with np.errstate(all="ignore"):
             z = (x - n * mu) / (sigma * np.sqrt(n)) / math.sqrt(2.0)
+        # libm's erfc is exactly 2 at z <= -6; at z >= 27 it is below 5.3e-319,
+        # so the term falls under _TERM_FLOOR, as it does at NaN
+        if x.size < _GRID_MIN:
+            first = weight
+            for j, zs in enumerate(z.T.tolist()):
+                s, c, weight = float(total[j]), float(comp[j]), first
+                for v in zs:
+                    term = weight if v <= -6.0 else weight * (0.5 * math.erfc(v))
+                    weight *= rho
+                    if term >= _TERM_FLOOR:
+                        y = term - c
+                        t = s + y
+                        c = (t - s) - y
+                        s = t
+                total[j], comp[j] = s, c
+            continue
         weights = np.cumprod(np.concatenate(([weight], np.full(n.size - 1, rho))))
         weight = weights[-1] * rho
-        terms = weights * (0.5 * np.array(list(map(math.erfc, z.tolist()))))
-        for term in terms[terms >= _TERM_FLOOR].tolist():
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return total
+        e = np.where(z <= -6.0, 2.0, 0.0)
+        live = (z > -6.0) & (z < 27.0)
+        e[live] = np.fromiter(map(math.erfc, z[live].tolist()), float)
+        terms = weights[:, None] * (0.5 * e)
+        # a skipped term leaves its x's total and compensation as they are
+        for term, keep in zip(terms, terms >= _TERM_FLOOR):
+            np.subtract(term, comp, out=ys)
+            np.add(total, ys, out=ts)
+            np.subtract(ts, total, out=cs)
+            np.subtract(cs, ys, out=cs)
+            np.copyto(comp, cs, where=keep)
+            np.copyto(total, ts, where=keep)
+    return total.tolist()
+
+
+def t_tail(q: QueueModel, x) -> float:
+    """T(rho, x) at one x: the one-point case of t_tail_grid."""
+    return t_tail_grid(q, [x])[0]
 
 
 # midpoint rule in the probability domain: u_i = (i+0.5)/K, z_i = Phi^{-1}(u_i);
@@ -300,21 +333,25 @@ def subexp_sum_approx(model: IntegratedTailModel, n: int, x) -> float:
     return n * tail_prob(model, max(0.0, x - (n - 1) * mu))
 
 
-def approximation_point(q: QueueModel, x) -> ApproximationPoint:
-    """Bundle of every closed-form value at one x (CLT column only when the
-    variance is finite); S(rho, x) is computed once for h and h_clt."""
-    s = s_sum(q, x)
+def approximation_grid(q: QueueModel, xs) -> list[ApproximationPoint]:
+    """Every closed-form value at each x of xs (h_clt is None at infinite variance)."""
+    s = [s_sum(q, x) for x in xs]
     try:
-        clt = s + t_tail(q, x)
+        t = t_tail_grid(q, xs)
     except UnsupportedModelError:
-        clt = None
-    return ApproximationPoint(
+        t = [None] * len(xs)
+    return [ApproximationPoint(
         x=float(x),
         heavy_traffic=heavy_traffic(q, x),
         heavy_tail=heavy_tail(q, x),
-        h=s + geometric_term(q, x),
+        h=sx + geometric_term(q, x),
         j=j_approx(q, x),
-        h_clt=clt,
+        h_clt=None if tx is None else sx + tx,
         geometric_term=geometric_term(q, x),
         m_of_x=big_m(q, x),
-    )
+    ) for x, sx, tx in zip(xs, s, t)]
+
+
+def approximation_point(q: QueueModel, x) -> ApproximationPoint:
+    """Every closed-form value at one x: the one-point case of approximation_grid."""
+    return approximation_grid(q, [x])[0]

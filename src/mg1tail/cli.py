@@ -37,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from .approx import (
+    approximation_grid,
     approximation_point,
     h_approx,
     h_clt,
@@ -207,8 +208,8 @@ def cmd_sweep(args) -> int:
     if args.simulate:
         ests = ak_estimate_grid(q, xs, target_rel_err=args.rel_err, seed=args.seed)
     rows = []
-    for i, x in enumerate(xs):
-        row = {"x": x, **dict(_columns(approximation_point(q, x)))}
+    for i, (x, pt) in enumerate(zip(xs, approximation_grid(q, xs))):
+        row = {"x": x, **dict(_columns(pt))}
         if args.simulate:
             row["mc_estimate"] = ests[i].estimate
             row["mc_rel_err"] = ests[i].rel_err

@@ -19,6 +19,7 @@ from mg1tail import (
     ParetoIntegratedTail,
     QueueModel,
     UnsupportedModelError,
+    approximation_grid,
     approximation_point,
     big_m,
     corrected_heavy_traffic,
@@ -37,11 +38,13 @@ from mg1tail import (
     s_sum,
     subexp_sum_approx,
     t_tail,
+    t_tail_grid,
     t_tail_z,
     tail_prob,
     threshold_x,
 )
 from mg1tail.approx import (
+    _GRID_MIN,
     _QUAD_BLOCK,
     _QUAD_NODES,
     _SERIES_TOL,
@@ -241,13 +244,19 @@ def test_t_tail_step_limit_and_overflow_without_warnings():
     # a one-point law: 1 - Phi((x - n mu)/0) is 0 for n mu < x and 1 for
     # n mu > x, and the term at n mu = x is dropped, as in t_tail_z
     q = QueueModel(model=Lattice(h=1.0, mass=[0.0, 1.0]), rho=0.5)
+    big = QueueModel(model=ExponentialIntegrated(10.0), rho=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in (2.0, 2.5):
             assert abs(t_tail(q, x) - t_tail_z(q, x)) <= 1e-12
             assert abs(t_tail(q, x) - 0.125) <= 1e-12
         # x / sigma overflows to inf, as it did in the scalar loop
-        assert t_tail(QueueModel(model=ExponentialIntegrated(10.0), rho=0.5), 1.7e308) == 0.0
+        assert t_tail(big, 1.7e308) == 0.0
+        # the same on grids summed per x and on grids summed for all x at once
+        for size in (2, _GRID_MIN):
+            got = t_tail_grid(q, [2.0, 2.5] * (size // 2))
+            assert got == [t_tail(q, 2.0), t_tail(q, 2.5)] * (size // 2)
+            assert t_tail_grid(big, [1.7e308] * size) == [0.0] * size
 
 
 def test_infinite_x_gives_zero_tail_terms():
@@ -296,20 +305,65 @@ def _ref_t_tail(q, x):
     return total
 
 
+_X = st.one_of(st.just(0.0), st.floats(0.0, 1e5))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     model=st.one_of(st.floats(3.05, 8.0).map(ParetoIntegratedTail),
                     st.floats(0.1, 10.0).map(ExponentialIntegrated)),
     rho=st.floats(0.01, 0.9999),
-    x=st.one_of(st.just(0.0), st.floats(0.0, 1e5)),
+    x=_X,
+    # unsorted, with repeats, 0 and +inf, of every length 1-40: both sides of _GRID_MIN
+    xs=st.integers(1, 40).flatmap(
+        lambda k: st.lists(st.one_of(_X, st.just(math.inf)), min_size=k, max_size=k)),
 )
-# n_max = 276,297: the series crosses four chunk edges
-@example(model=ParetoIntegratedTail(3.5), rho=0.9999, x=50.0)
-# n_max = 65,537: one term past the first chunk
-@example(model=ExponentialIntegrated(1.0), rho=math.exp(math.log(1e-12) / 65536.5), x=3e4)
-def test_t_tail_equals_scalar_loop(model, rho, x):
+# n_max = 276,297: the series crosses 16 blocks of one x
+@example(model=ParetoIntegratedTail(3.5), rho=0.9999, x=50.0, xs=[50.0])
+# n_max = 65,537: one term past the fourth block of one x
+@example(model=ExponentialIntegrated(1.0), rho=math.exp(math.log(1e-12) / 65536.5), x=3e4,
+         xs=[3e4])
+# a 64-point grid where erfc saturates at 2 (z <= -6) and is skipped (z >= 27)
+@example(model=ParetoIntegratedTail(3.5), rho=0.99, x=1.0,
+         xs=np.geomspace(1.0, 4600.0, 64).tolist())
+@example(model=ParetoIntegratedTail(3.5), rho=0.8, x=0.0,
+         xs=[math.inf, 0.0, 7.5, 7.5] * (_GRID_MIN // 4) + [3.0])
+# where T falls past _TERM_FLOOR: its largest terms have z in (20, 27), and
+# some lie under the floor, on grids summed per x and for all x at once
+@example(model=ParetoIntegratedTail(3.5), rho=0.5, x=408.0, xs=[402.0, 408.0])
+@example(model=ParetoIntegratedTail(3.5), rho=0.5, x=408.0,
+         xs=np.linspace(395.0, 415.0, 41).tolist())
+def test_t_tail_equals_scalar_loop(model, rho, x, xs):
     q = QueueModel(model=model, rho=rho)
     assert t_tail(q, x) == _ref_t_tail(q, x)
+    assert t_tail_grid(q, xs) == [_ref_t_tail(q, v) for v in xs]
+
+
+def test_erfc_saturation_that_t_tail_grid_assumes():
+    low = np.concatenate([np.linspace(-60.0, -6.0, 200_001),
+                          -np.geomspace(60.0, 1.7e308, 20_001)]).tolist() + [-math.inf]
+    bad = [z for z in low if math.erfc(z) != 2.0]
+    assert not bad, (f"libm erfc(z) != 2 at z <= -6 (at {bad[:3]}): "
+                     "the saturated-erfc shortcut is wrong")
+    high = np.concatenate([np.linspace(27.0, 60.0, 200_001),
+                           np.geomspace(60.0, 1.7e308, 20_001)]).tolist() + [math.inf]
+    bad = [z for z in high if not 0.25 * math.erfc(z) < 1e-300]
+    assert not bad, (f"0.25 erfc(z) >= 1e-300 at z >= 27 (at {bad[:3]}): "
+                     "the skipped-erfc shortcut is wrong")
+
+
+@pytest.mark.parametrize("rho", [0.8, 0.99, 0.9999])
+def test_t_tail_grid_memory_is_bounded(rho):
+    q = QueueModel(model=ParetoIntegratedTail(3.5), rho=rho)
+    xs = np.geomspace(0.5, 4600.0, 400).tolist()
+    tracemalloc.start()
+    try:
+        t_tail_grid(q, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (n, x) block of terms and its temporaries at a time, at any rho
+    assert peak <= 2**20
 
 
 def test_quad_nodes_cached_read_only():
@@ -376,6 +430,10 @@ def test_approximation_point_bundle():
     assert pt.h_clt == h_clt(Q, 10.0)
     q25 = QueueModel(model=ParetoIntegratedTail(alpha=2.5), rho=0.8)
     assert approximation_point(q25, 10.0).h_clt is None
+    # a grid gives the points of one-x calls, with and without h_clt
+    xs = np.geomspace(0.5, 100.0, _GRID_MIN + 1).tolist()
+    for q in (Q, q25):
+        assert approximation_grid(q, xs) == [approximation_point(q, x) for x in xs]
 
 
 def test_h_and_j_converge_to_heavy_tail():
@@ -411,6 +469,7 @@ _NAN_GUARDED = {
     "geometric_term": lambda x: geometric_term(Q, x),
     "gamma_factor": lambda x: gamma_factor(Q, x),
     "t_tail": lambda x: t_tail(Q, x),
+    "t_tail_grid": lambda x: t_tail_grid(Q, [1.0, x]),
     "t_tail_z": lambda x: t_tail_z(Q, x),
     "subexp_sum_approx": lambda x: subexp_sum_approx(Q.model, 2, x),
     "pk_truncated": lambda x: pk_truncated(Q, x),

@@ -21,6 +21,7 @@ from mg1tail import (
     SimulationEstimate,
     ak_estimate,
     ak_estimate_grid,
+    approximation_grid,
     approximation_point,
     big_m,
     convolve_tail,
@@ -42,6 +43,7 @@ from mg1tail import (
     s_sum,
     subexp_sum_approx,
     t_tail,
+    t_tail_grid,
     t_tail_z,
     tail_prob,
     threshold_rho,
@@ -490,6 +492,7 @@ _ARGUMENT_CHECKS = {
     "big_m-x-inf": (lambda: big_m(_Q, math.inf), _INF_X),
     "s_sum-x-inf": (lambda: s_sum(_Q, math.inf), _INF_X),
     "approximation_point-x-inf": (lambda: approximation_point(_Q, math.inf), _INF_X),
+    "approximation_grid-x-inf": (lambda: approximation_grid(_Q, [1.0, math.inf]), _INF_X),
     "j_approx-x-inf": (lambda: j_approx(_Q, math.inf), _INF_X),
     "gamma_factor-x-inf": (lambda: gamma_factor(_Q, math.inf), _INF_X),
     "geom_gamma-x-inf": (lambda: geom_gamma(_G, math.inf), _INF_X),
@@ -504,6 +507,7 @@ _ARGUMENT_CHECKS = {
     "j_approx-x-neg": (lambda: j_approx(_Q, -1.0), _NEG_X),
     "geom_gamma-x-neg": (lambda: geom_gamma(_G, -1.0), _NEG_X),
     "t_tail-x-neg": (lambda: t_tail(_Q, -1.0), _NEG_X),
+    "t_tail_grid-x-neg": (lambda: t_tail_grid(_Q, [1.0, -1.0]), _NEG_X),
     "t_tail_z-x-neg": (lambda: t_tail_z(_Q, -1.0), _NEG_X),
     "subexp_sum_approx-x-neg": (lambda: subexp_sum_approx(_Q.model, 2, -1.0), _NEG_X),
     "subexp_sum_approx-n-nan": (lambda: subexp_sum_approx(_Q.model, math.nan, 5.0),
