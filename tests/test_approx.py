@@ -318,7 +318,7 @@ _X = st.one_of(st.just(0.0), st.floats(0.0, 1e5))
     xs=st.integers(1, 40).flatmap(
         lambda k: st.lists(st.one_of(_X, st.just(math.inf)), min_size=k, max_size=k)),
 )
-# n_max = 276,297: the series crosses 16 blocks of one x
+# n_max = 276,297: the series crosses 16 block edges of one x
 @example(model=ParetoIntegratedTail(3.5), rho=0.9999, x=50.0, xs=[50.0])
 # n_max = 65,537: one term past the fourth block of one x
 @example(model=ExponentialIntegrated(1.0), rho=math.exp(math.log(1e-12) / 65536.5), x=3e4,
