@@ -326,18 +326,33 @@ def test_grid_sweep_bytes_match_golden(tmp_path):
     assert grid_sweep_bytes(tmp_path) == (GOLDEN / "sweep-grid.csv").read_bytes()
 
 
+def _entries(data, fname):
+    """The entries of a golden file: the top-level items of a JSON object, else
+    the lines of a sweep table."""
+    if fname.startswith("sweep-"):
+        return dict(enumerate(data.splitlines()))
+    return json.loads(data or b"{}")
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for fname, data in (("kernels.json", kernel_sums()),
-                        ("estimates.json", estimates()),
-                        ("ak_grid.json", ak_grid_estimates()),
-                        ("t_tail_z.json", t_tail_z_values()),
-                        ("scalars.json", scalar_values())):
-        (GOLDEN / fname).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    files = {fname: (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+             for fname, data in (("kernels.json", kernel_sums()),
+                                 ("estimates.json", estimates()),
+                                 ("ak_grid.json", ak_grid_estimates()),
+                                 ("t_tail_z.json", t_tail_z_values()),
+                                 ("scalars.json", scalar_values()))}
     with tempfile.TemporaryDirectory() as tmp:
-        (GOLDEN / "compare.json").write_text(
-            json.dumps(compare_output(tmp), indent=2, sort_keys=True) + "\n")
-    for name in SWEEPS:
-        for fmt in ("csv", "json"):
-            sweep_bytes(name, fmt, GOLDEN)
-    grid_sweep_bytes(GOLDEN)
+        files["compare.json"] = (
+            json.dumps(compare_output(tmp), indent=2, sort_keys=True) + "\n").encode()
+        for name in SWEEPS:
+            for fmt in ("csv", "json"):
+                files[f"sweep-{name}.{fmt}"] = sweep_bytes(name, fmt, tmp)
+        files["sweep-grid.csv"] = grid_sweep_bytes(tmp)
+    GOLDEN.mkdir(exist_ok=True)
+    for fname, data in files.items():
+        path = GOLDEN / fname
+        old = _entries(path.read_bytes() if path.exists() else b"", fname)
+        new = _entries(data, fname)
+        differ = sum(old.get(k) != new.get(k) for k in old.keys() | new.keys())
+        print(f"{fname}: {differ} of {len(new)} entries differ from the file on disk")
+        path.write_bytes(data)
