@@ -15,12 +15,14 @@ integrated-tail law X has mean mu and tail F̄.  The approximations here:
   T(rho,x) = sum_{n>=1} (1-rho) rho^n (1 - Phi((x-n mu)/(sigma sqrt(n))))
   replacing rho^{x/mu}, summed over a whole x-grid at once by t_tail_grid;
   t_tail_z evaluates the same quantity as a normal expectation
-  E[rho^{floor(t(Z)^2)+1}] by deterministic quadrature;
+  E[rho^{floor(t(Z)^2)+1}] by deterministic quadrature, its node values
+  summed exactly and rounded once;
 * subexp_sum_approx:  the n-fold convolution surrogate n F̄(x-(n-1)mu).
 """
 
 from dataclasses import dataclass
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -236,9 +238,9 @@ def _exponent_bounds(w_lo, w_hi, c):
             np.floor(np.maximum(-t_lo, t_hi) ** 2) + 1.0)
 
 
-def _runs(rows, row_starts, a, c):
-    """(first node, exponent) of each run of equal exponents along the rows of
-    nodes, row i starting at node row_starts[i]; each row starts a run."""
+def _runs(rows, a, c):
+    """(exponent, node count) of each run of equal exponents along the rows of
+    nodes; each row starts a run."""
     w = a * rows
     # t = sqrt(c + w^2) - w, then floor(t^2), in place; a run of floor(t^2)
     # lies within a run of the exponent, which is 1 more
@@ -252,34 +254,27 @@ def _runs(rows, row_starts, a, c):
     new[:, 0] = True
     np.not_equal(t[:, 1:], t[:, :-1], out=new[:, 1:])
     k = np.flatnonzero(new)
-    return row_starts[k // t.shape[1]] + k % t.shape[1], t.ravel()[k] + 1.0
+    return t.ravel()[k] + 1.0, np.diff(k, append=t.size)
 
 
-# numpy sums a contiguous float64 array by a fixed halving tree: it splits n
-# at n//2 - (n//2 mod 8) down to blocks of at most 128, which it sums with 8
-# accumulators; _run_sum follows the tree down to leaves of at most this many
-# nodes, which must be >= 128 so that numpy's own split governs below them
-_SUM_LEAF = 1 << 18
-
-
-def _run_sum(starts, vals, lo, hi):
-    """The sum of the values of nodes lo to hi - 1, run i holding vals[i] from
-    node starts[i] on (starts[0] <= lo), bit for bit as numpy sums them in one
-    array, with at most _SUM_LEAF node values at a time (Higham 2002, ch. 4)."""
-    n = hi - lo
-    if n > _SUM_LEAF:
-        mid = lo + n // 2 - n // 2 % 8
-        return _run_sum(starts, vals, lo, mid) + _run_sum(starts, vals, mid, hi)
-    i, j = np.searchsorted(starts, (lo, hi), side="right")
-    counts = np.diff(np.maximum(starts[i - 1:j], lo), append=hi)
-    return np.repeat(vals[i - 1:j], counts).sum()
+def _exact_dot(counts, vals):
+    """sum(counts * vals) rounded once, for whole counts below 2^26 and values
+    below 2^996 in magnitude.  Veltkamp's split (Dekker 1971) cuts each value
+    into two halves of at most 26 bits each, so every count times a half is
+    exact, and math.fsum (Shewchuk 1997) rounds the sum of those products once;
+    it takes one half's products at a time, which bounds the lists."""
+    big = vals * 134217729.0  # 2^27 + 1
+    hi = big - (big - vals)
+    return math.fsum(itertools.chain.from_iterable(
+        (counts * half).tolist() for half in (hi, vals - hi)))
 
 
 def t_tail_z(q: QueueModel, x) -> float:
     """Normal-expectation form E[rho^{floor(t(Z)^2)+1}] with
     t(z) = sqrt(x/mu + (sigma z/(2 mu))^2) - sigma z/(2 mu); equals the series
     exactly (Abel summation over P(floor(t(Z)^2) >= n) = Phi((x-n mu)/(sigma
-    sqrt(n)))), so the two implementations cross-check each other.
+    sqrt(n)))), so the two implementations cross-check each other.  The result
+    is the sum of the node values, rounded once, divided by _QUAD_NODES.
 
     The exponent is bounded per block of _QUAD_BLOCK nodes and evaluated node
     by node only where the bounds differ.  Rounding to nearest is monotone
@@ -298,7 +293,6 @@ def t_tail_z(q: QueueModel, x) -> float:
     c = x / mu
     n_blocks = z.size // _QUAD_BLOCK
     blocks = z[:n_blocks * _QUAD_BLOCK].reshape(n_blocks, _QUAD_BLOCK)
-    first = np.arange(n_blocks) * _QUAD_BLOCK
     lower, upper = _exponent_bounds(a * blocks[:, 0], a * blocks[:, -1], c)
     shut = lower == upper
     # the open blocks _CHUNK nodes at a time, which bounds the temporaries (a
@@ -307,17 +301,17 @@ def t_tail_z(q: QueueModel, x) -> float:
     step = _CHUNK // _QUAD_BLOCK
     groups = (opened[i:i + step] for i in range(0, opened.size, step))
     runs = [_runs(blocks[g[0]:g[-1] + 1] if g[-1] - g[0] == g.size - 1 else blocks[g],
-                  first[g], a, c) for g in groups]
-    runs.append(_runs(z[first[-1] + _QUAD_BLOCK:][None], first[-1:] + _QUAD_BLOCK, a, c))
-    starts = np.concatenate([r[0] for r in runs])
-    # a shut block is one run; exp runs once per run
-    at = np.searchsorted(starts, first[shut])
-    e = np.insert(np.concatenate([r[1] for r in runs]), at, lower[shut]) * math.log(rho)
+                  a, c) for g in groups]
+    runs.append(_runs(z[n_blocks * _QUAD_BLOCK:][None], a, c))
+    # a shut block is one run
+    runs.append((lower[shut], np.full(np.count_nonzero(shut), _QUAD_BLOCK)))
+    # the node count per exponent; exp runs once per exponent
+    expo, at = np.unique(np.concatenate([r[0] for r in runs]), return_inverse=True)
+    counts = np.bincount(at, weights=np.concatenate([r[1] for r in runs]))
+    e = expo * math.log(rho)
     vals = np.exp(e)
     vals[e < -745.0] = 0.0
-    # the bits of the sum over one value per node, without that array
-    total = _run_sum(np.insert(starts, at, first[shut]), vals, 0, z.size)
-    return float(total / _QUAD_NODES)
+    return _exact_dot(counts, vals) / _QUAD_NODES
 
 
 def h_clt(q: QueueModel, x) -> float:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,9 +50,9 @@ from mg1tail.approx import (
     _QUAD_NODES,
     _SERIES_TOL,
     _TERM_FLOOR,
+    _exact_dot,
     _exponent_bounds,
     _quad_nodes,
-    _run_sum,
     _sigma,
 )
 
@@ -171,7 +172,7 @@ def _t_tail_z_per_node(q, x):
     log_rho = math.log(rho)
     vals = np.exp(np.maximum(expo * log_rho, -745.0))
     vals[expo * log_rho < -745.0] = 0.0
-    return float(vals.sum() / _QUAD_NODES)
+    return float(math.fsum(vals.tolist()) / _QUAD_NODES)
 
 
 @settings(max_examples=25, deadline=None)
@@ -188,6 +189,8 @@ def _t_tail_z_per_node(q, x):
 @example(model=ParetoIntegratedTail(3.5), rho=0.5, x=5e-324)
 # every block open
 @example(model=ParetoIntegratedTail(3.01), rho=0.8, x=1e6)
+# every block open and every value live (T is about 1.69e-22)
+@example(model=ParetoIntegratedTail(3.01), rho=0.9999, x=1e6)
 # x/mu = 3: the exponent steps from 4 to 3 at z = 0, inside the block that
 # straddles it
 @example(model=ExponentialIntegrated(1.0), rho=0.5, x=3.0)
@@ -217,27 +220,27 @@ def test_exponent_bounds_hold_every_node(z, a, c):
     assert lower[0] <= expo.min() and expo.max() <= upper[0]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.one_of(st.integers(1, 300_000), st.just(_QUAD_NODES)),
-    runs=st.integers(1, 10**6),
-    # None keeps the module's leaf; small leaves make the tree cross many
-    leaf=st.one_of(st.none(), st.integers(128, 1000)),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n=_QUAD_NODES, runs=500, leaf=None, seed=0)
-@example(n=129, runs=129, leaf=128, seed=1)
-@example(n=8 * 977 + 5, runs=3000, leaf=128, seed=2)
-def test_run_sum_follows_numpy_pairwise_order(n, runs, leaf, seed):
+def _random_runs(n, seed):
+    """n whole counts up to the node count, and values down to the subnormals."""
     rng = np.random.default_rng(seed)
-    starts = np.unique(np.concatenate(([0], rng.integers(1, max(n, 2), min(runs, n) - 1))))
-    # signs and magnitudes that make every change of order show in the bits
-    vals = rng.standard_normal(starts.size) * 10.0 ** rng.uniform(-8, 8, starts.size)
-    full = float(np.repeat(vals, np.diff(starts, append=n)).sum())
-    with pytest.MonkeyPatch.context() as mp:
-        if leaf is not None:
-            mp.setattr(mg1tail.approx, "_SUM_LEAF", leaf)
-        assert float(_run_sum(starts, vals, 0, n)) == full
+    return (rng.integers(1, _QUAD_NODES + 1, n).astype(float).tolist(),
+            np.exp(-rng.uniform(0.0, 745.0, n)).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(
+    st.tuples(st.integers(1, _QUAD_NODES).map(float),
+              st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0),
+                        st.floats(0.0, 2.0 ** -1022, exclude_max=True))),
+    min_size=1, max_size=300).map(lambda r: tuple(map(list, zip(*r)))))
+# one run whose exact product lies 2^-53 above a rounding midpoint, so a
+# product that is not exact shows in the bits
+@example(runs=([float(_QUAD_NODES)], [float.fromhex("0x1.666666665bb81p-1")]))
+@example(runs=_random_runs(40_000, seed=0))
+def test_exact_dot_rounds_once(runs):
+    counts, vals = runs
+    want = float(sum(Fraction(c) * Fraction(v) for c, v in zip(counts, vals)))
+    assert _exact_dot(np.array(counts), np.array(vals)) == want
 
 
 def test_t_tail_step_limit_and_overflow_without_warnings():
@@ -268,6 +271,8 @@ def test_infinite_x_gives_zero_tail_terms():
     *(pytest.param(Q, x, id=str(x)) for x in (0.5, 100.0, 1e4, 1e6)),
     pytest.param(QueueModel(model=ParetoIntegratedTail(3.01), rho=0.8), 1e6,
                  id="every-block-open"),
+    pytest.param(QueueModel(ParetoIntegratedTail(3.01), rho=0.9999), 1e6,
+                 id="every-block-open-live"),
 ])
 def test_t_tail_z_memory_is_bounded(q, x):
     _quad_nodes()  # the cached nodes are not part of one call
@@ -277,8 +282,9 @@ def test_t_tail_z_memory_is_bounded(q, x):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # no node-sized array: the sum builds at most _SUM_LEAF node values (2 MiB)
-    # at a time, next to the runs
+    # no node-sized array: the runs are found _CHUNK nodes at a time, and the
+    # sum lists the products of one half of the values at a time, one per
+    # exponent (0.6-4.4 MiB in all)
     assert peak <= 5 * 2**20
 
 
