@@ -137,7 +137,7 @@ def convolve_tail_grid(dist: Lattice, n: int, xs) -> np.ndarray:
             f"convolution needs {n * dist.mass.size} lattice cells, "
             f"budget is {_CELL_BUDGET}"
         )
-    x_max = float(xs.max())
+    x_max = float(xs.max(initial=-math.inf))  # an empty grid returns here
     if x_max < 0:
         return np.ones_like(xs)
     m = _cap_index(x_max, dist.h)

@@ -67,10 +67,11 @@ def test_convolve_tail_hand_values():
 
 
 def test_convolve_tail_grid_matches_scalar():
-    xs = [0.0, 1.0, 2.5, 3.0, 5.5, 9.0]
-    grid = convolve_tail_grid(TWO_POINT, 4, xs)
-    for x, v in zip(xs, grid):
-        assert v == convolve_tail(TWO_POINT, 4, x)
+    for xs in ([0.0, 1.0, 2.5, 3.0, 5.5, 9.0], []):
+        grid = convolve_tail_grid(TWO_POINT, 4, xs)
+        assert grid.dtype == np.float64 and grid.shape == (len(xs),)
+        for x, v in zip(xs, grid):
+            assert v == convolve_tail(TWO_POINT, 4, x)
 
 
 # --- reference: the per-x cap lookup of convolve_tail_grid, verbatim ------
