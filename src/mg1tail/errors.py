@@ -37,3 +37,10 @@ def check_positive(name: str, value) -> None:
 def check_finite(name: str, value) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_integer(name: str, value) -> int:
+    """value as an int: an int, or a float with no fractional part."""
+    if not value % 1 == 0:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)

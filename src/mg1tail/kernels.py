@@ -32,8 +32,10 @@ replication order.
 Memory: the two buffers take 16 bytes per chunk draw; a lattice model's
 ``quantile`` adds one 8-byte-per-draw index at a time; a chunk holds at most
 ``CHUNK_PIECES`` columns (or parts of one), about 150 bytes of bookkeeping
-each; the rest is about 100 bytes per replication.  So a batch needs at most
-``24 * CHUNK_DRAWS + 150 * CHUNK_PIECES`` bytes (3.2 MiB) plus O(nreps) at
+each; the rest is about 50 bytes per replication in the estimators' calls
+of up to 4 * 10^4 replications, drawn at once and summed in runs of 10^4
+(about 70 in a call of 10^4).  So a call needs at most
+``24 * CHUNK_DRAWS + 150 * CHUNK_PIECES`` bytes (1.6 MiB) plus O(nreps) at
 any rho; arrays over the whole batch would need ~56 bytes per draw (5.6 GB
 for 10^4 replications at rho=0.9999).
 """
@@ -46,7 +48,7 @@ import numpy as np
 from . import rng
 from .distributions import Lattice
 
-CHUNK_DRAWS = 2**17
+CHUNK_DRAWS = 2**16
 CHUNK_PIECES = 2**10
 
 _local = threading.local()
@@ -125,19 +127,24 @@ def _unsorted(a, order):
     return out
 
 
-def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
+def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0, size=None):
     """Sum and sum-of-squares of conditional-estimator contributions for
     replications rep0..rep0+nreps-1.  For a sequence ``x`` the replications
     are drawn once and a list with one (sum, sum-of-squares) per x is
-    returned, each bit-identical to the scalar call at that x."""
+    returned, each bit-identical to the scalar call at that x.  With
+    ``size``, the replications are still drawn once, and a list is returned
+    with one such result per run of ``size`` replications (the last may be
+    shorter), each bit-identical to a separate call on that run."""
     states, n = _counts(rho, seed, rep0, nreps, n_offset)
     counts = np.maximum(n - 1, 0)
     order = np.argsort(-counts)
+    states, counts = states[order], counts[order]
     s = np.zeros(nreps)
     m = np.zeros(nreps)
     lattice = isinstance(model, Lattice)
-    ties = np.zeros(nreps)
-    for a, b, xs in _draws(model, states[order], counts[order]):
+    if lattice:
+        ties = np.zeros(nreps)
+    for a, b, xs in _draws(model, states, counts):
         s[a:b] += xs
         mc = m[a:b]
         if lattice:
@@ -145,20 +152,26 @@ def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
             tc *= xs <= mc  # a new maximum voids the ties counted so far
             tc += xs >= mc
         np.maximum(mc, xs, out=mc)
+    del states, counts  # 16 bytes per replication fewer at the scatter below
     s, m = _unsorted(s, order), _unsorted(m, order)
     if lattice:
         extra = n * model.atom(m) / (_unsorted(ties, order) + 1.0)
     grid = np.ndim(x) > 0
-    sums = []
-    # each x gets its own contiguous 1-d v, reduced by the same 1-d sums as
-    # in a scalar call, so its bits are those of the scalar call
-    for xi in (x if grid else [x]):
-        t = np.maximum(m, xi - s)
-        v = np.where(n >= 1, n * model.tail(t), 0.0)
-        if lattice:
-            v = v + np.where((n >= 1) & (s + m > xi), extra, 0.0)
-        sums.append((float(v.sum()), float((v * v).sum())))
-    return sums if grid else sums[0]
+    runs = []
+    # each run and x gets its own contiguous 1-d v, reduced by the same 1-d
+    # sums as in a scalar call on that run, so its bits are that call's
+    for lo in [0] if size is None else range(0, nreps, size):
+        r = slice(lo, nreps if size is None else lo + size)
+        sr, mr, nr = s[r], m[r], n[r]
+        sums = []
+        for xi in (x if grid else [x]):
+            t = np.maximum(mr, xi - sr)
+            v = np.where(nr >= 1, nr * model.tail(t), 0.0)
+            if lattice:
+                v = v + np.where((nr >= 1) & (sr + mr > xi), extra[r], 0.0)
+            sums.append((float(v.sum()), float((v * v).sum())))
+        runs.append(sums if grid else sums[0])
+    return runs[0] if size is None else runs
 
 
 def crude_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
@@ -166,8 +179,10 @@ def crude_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
     states, n = _counts(rho, seed, rep0, nreps, n_offset)
     counts = np.maximum(n, 0)
     order = np.argsort(-counts)
+    states, counts = states[order], counts[order]
+    del n, order  # 16 bytes per replication fewer during the draws
     w = np.zeros(nreps)  # in sorted order; the count does not see the order
-    for a, b, xs in _draws(model, states[order], counts[order]):
+    for a, b, xs in _draws(model, states, counts):
         w[a:b] += xs
     hits = float(np.count_nonzero(w > x))
     return hits, hits

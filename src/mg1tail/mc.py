@@ -20,6 +20,9 @@ P(N = n) = (1-rho) rho^n, n >= 0.  Its tail P(W > x) is evaluated three ways:
   exactly unbiased under ties.  ``ak_estimate_grid`` runs it at every x of a
   grid from one shared set of draws.
 
+Both Monte Carlo estimators draw up to ``CALL_BATCHES`` batches of 10^4
+replications per kernel call; every estimate is that of one batch per call.
+
 The absorbing cap is exact: summands are nonnegative, so once a partial sum
 exceeds a cap C > x it can never drop back, and P(S_n > x) is unchanged by
 lumping all mass >= C at C.
@@ -39,11 +42,15 @@ from .distributions import (
     QueueModel,
     tail_prob,
 )
-from .errors import ResourceBudgetError, check_finite, check_nonnegative, check_positive
+from .errors import (ResourceBudgetError, check_finite, check_integer, check_nonnegative,
+                     check_positive)
 from .geom import GeomModel
 
 BATCH_SIZE = 10_000
 MIN_SAMPLES_BEFORE_CHECK = 100_000
+# batches drawn per kernel call: a call keeps about 50 bytes per replication
+# live, so 4 * 10^4 replications take ~2 MiB next to the 1 MiB chunk buffers
+CALL_BATCHES = 4
 # convolution budget: product of convolution count and lattice size
 _CELL_BUDGET = 200_000_000
 # recursion budget: multiply-adds of both bracket passes, about m*m
@@ -206,10 +213,14 @@ def _estimate(mean, half, n, seed, method, converged=True) -> SimulationEstimate
 def _crude(model, rho, x, n_samples, seed, n_offset) -> SimulationEstimate:
     if not n_samples >= 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
+    n_samples = check_integer("n_samples", n_samples)
     check_nonnegative("x", x)
+    check_finite("x", x)
+    # the hits are whole numbers, so their float sum is exact in any grouping
+    step = CALL_BATCHES * BATCH_SIZE
     hits = 0.0
-    for rep0 in range(0, n_samples, BATCH_SIZE):
-        nb = min(BATCH_SIZE, n_samples - rep0)
+    for rep0 in range(0, n_samples, step):
+        nb = min(step, n_samples - rep0)
         b1, _ = kernels.crude_batch(model, rho, x, seed, rep0, nb, n_offset)
         hits += b1
     est = hits / n_samples
@@ -244,26 +255,42 @@ def ak_estimate_grid(
     """``ak_estimate`` at every x of ``xs`` from one shared set of draws: each
     batch of replications is drawn once for all x that have not stopped yet,
     and each x keeps its own sums, stopping rule and sample count, so its
-    estimate equals the single-x call field for field."""
+    estimate equals the single-x call field for field.
+
+    Up to ``CALL_BATCHES`` batches are drawn per kernel call and used one at
+    a time, which changes no estimate: none is drawn past the first check
+    before that check runs, and later at most one batch in 8 is drawn ahead
+    of the stopping rule."""
     xs = list(xs)
     for x in xs:
         check_nonnegative("x", x)
+        check_finite("x", x)
     check_positive("target_rel_err", target_rel_err)
     if not max_samples >= 2:
         raise ValueError(f"max_samples must be at least 2, got {max_samples}")
+    max_samples = check_integer("max_samples", max_samples)
     z = _z_value(confidence)
     s1 = [0.0] * len(xs)
     s2 = [0.0] * len(xs)
     n = [0] * len(xs)
     converged = [False] * len(xs)
     active = list(range(len(xs)))
+    first_check = -(-MIN_SAMPLES_BEFORE_CHECK // BATCH_SIZE)
+    ahead = []  # drawn batches not yet used, the next one last: {x index: sums}
     done = 0
     while active and done < max_samples:
-        nb = min(BATCH_SIZE, max_samples - done)
-        sums = kernels.ak_batch(q.model, q.rho, [xs[i] for i in active], seed, done, nb)
-        done += nb
+        if not ahead:
+            batches = done // BATCH_SIZE
+            k = min(CALL_BATCHES, max(1, first_check - batches, batches // 8))
+            nreps = min(k * BATCH_SIZE, max_samples - done)
+            runs = kernels.ak_batch(q.model, q.rho, [xs[i] for i in active], seed, done,
+                                    nreps, size=BATCH_SIZE)
+            ahead = [dict(zip(active, run)) for run in reversed(runs)]
+        sums = ahead.pop()
+        done += min(BATCH_SIZE, max_samples - done)
         still = []
-        for i, (b1, b2) in zip(active, sums):
+        for i in active:
+            b1, b2 = sums[i]
             s1[i] += b1
             s2[i] += b2
             n[i] = done
@@ -292,5 +319,6 @@ def ak_estimate(
     """Conditional-estimator run with a relative-error stopping rule: batches
     of 10^4 replications, first convergence check after 10^5, stop when the
     CI half-width at the given confidence is within target_rel_err of the
-    estimate, or flag non-convergence at max_samples."""
+    estimate, or flag non-convergence at max_samples.  Batches are drawn up
+    to ``CALL_BATCHES`` at a time, which changes no estimate."""
     return ak_estimate_grid(q, [x], target_rel_err, confidence, seed, max_samples)[0]

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mg1tail import (
     ExponentialIntegrated,
@@ -155,6 +155,32 @@ def test_chunked_kernels_equal_whole_batch_reference(model, rho, seed, rep0, nre
                    [_ref_crude_batch(*args, xi, *tail) for xi in crude_xs])
 
 
+# One call drawing several runs of replications gives each run the bits of a
+# separate call on it; the examples are estimator batches of 10^4.
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(MODELS), rho=st.sampled_from([0.5, 0.9, 0.99]),
+       x=st.one_of(x_values, st.lists(x_values, min_size=1, max_size=4)),
+       seed=st.integers(0, 2**64 - 1), rep0=st.integers(0, 2**40),
+       nreps=st.integers(0, 130), size=st.integers(1, 40),
+       n_offset=st.sampled_from([0, 1]))
+@example(MODELS[0], 0.9, [0.0, 5.0], 7, 0, 0, 10_000, 0)
+@example(MODELS[1], 0.9, 3.0, 7, 5, 1, 10_000, 0)
+@example(MODELS[2], 0.9, [0.5, 3.0, 40.0], 7, 0, 9_999, 10_000, 0)
+@example(MODELS[0], 0.9, 5.0, 2**64 - 1, 10_000, 10_000, 10_000, 1)
+@example(MODELS[1], 0.9, [0.0, 3.0, 40.0], 11, 0, 30_017, 10_000, 0)
+@example(MODELS[2], 0.9, 3.0, 11, 10_000, 30_017, 10_000, 1)
+def test_runs_of_one_call_equal_separate_calls(model, rho, x, seed, rep0, nreps, size,
+                                               n_offset):
+    runs = [(rep0 + lo, min(size, nreps - lo)) for lo in range(0, nreps, size)]
+    got = kernels.ak_batch(model, rho, x, seed, rep0, nreps, n_offset, size=size)
+    assert got == [kernels.ak_batch(model, rho, x, seed, r, nr, n_offset) for r, nr in runs]
+    # the estimators add up crude hits over runs; integer-valued, so exactly
+    cx = x if np.ndim(x) == 0 else x[-1]
+    hits = kernels.crude_batch(model, rho, cx, seed, rep0, nreps, n_offset)[0]
+    assert hits == sum(kernels.crude_batch(model, rho, cx, seed, r, nr, n_offset)[0]
+                       for r, nr in runs)
+
+
 @pytest.mark.parametrize("model", MODELS, ids=["pareto", "exp", "lattice"])
 def test_full_chunks_equal_whole_batch_reference(model):
     # about 2.5e5 draws: two full chunks of the default size and a partial one
@@ -220,20 +246,23 @@ def test_threads_get_serial_results(monkeypatch):
     assert results == [serial] * 4
 
 
-@pytest.mark.parametrize("model, rho", [(MODELS[0], 0.9999), (MODELS[2], 0.999)],
-                         ids=["pareto", "lattice"])
-def test_batch_memory_is_bounded_by_the_chunk(model, rho, monkeypatch):
-    # about 1e7 Pareto / 1e6 lattice draws; whole-batch arrays would take
-    # ~56 bytes per draw
-    nreps = 1_000
+# about 1e7 Pareto / 1e6 lattice draws, where whole-batch arrays would take
+# ~56 bytes per draw; and a call of the estimators' size at point-mc's model
+@pytest.mark.parametrize("model, rho, nreps, size, per_rep", [
+    (MODELS[0], 0.9999, 1_000, None, 256),
+    (MODELS[2], 0.999, 1_000, None, 256),
+    (MODELS[1], 0.9, 40_000, 10_000, 64),
+], ids=["pareto", "lattice", "exp-call"])
+def test_batch_memory_is_bounded_by_the_chunk(model, rho, nreps, size, per_rep,
+                                              monkeypatch):
     monkeypatch.setattr(kernels, "_local", threading.local())  # fresh buffers
     tracemalloc.start()
     try:
-        kernels.ak_batch(model, rho, [1.0, 10.0], 3, 0, nreps)
+        kernels.ak_batch(model, rho, [1.0, 10.0], 3, 0, nreps, size=size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * kernels.CHUNK_DRAWS + 256 * nreps
+    assert peak < 40 * kernels.CHUNK_DRAWS + per_rep * nreps
 
 
 def test_tail_column_bookkeeping_is_bounded(monkeypatch):

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mg1tail import (
     ExponentialIntegrated,
@@ -49,7 +49,7 @@ from mg1tail import (
     threshold_rho,
     threshold_x,
 )
-from mg1tail import mc
+from mg1tail import kernels, mc
 from mg1tail.cli import _sweep_grid
 from reference_kernels import _ref_ak_batch
 
@@ -328,6 +328,15 @@ def test_estimates_are_deterministic():
     assert ak_estimate(q, 25.0, seed=9) != ak_estimate(q, 25.0, seed=10)
 
 
+def test_integral_float_sample_counts_are_accepted():
+    q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
+    assert crude_mc(q, 5.0, 1e5, seed=9) == crude_mc(q, 5.0, 100_000, seed=9)
+    # 14 batches and a part batch: an unconverted float would reach the kernel
+    got = ak_estimate(q, 200.0, target_rel_err=1e-9, seed=9, max_samples=1.45e5)
+    assert got == ak_estimate(q, 200.0, target_rel_err=1e-9, seed=9, max_samples=145_000)
+    assert got.n_samples == 145_000 and type(got.n_samples) is int
+
+
 def test_ak_stop_rule():
     q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
     est = ak_estimate(q, 10.0, target_rel_err=0.05, seed=1)
@@ -404,6 +413,12 @@ _lattices = st.builds(
     # past 10^5 the stopping rule runs, and x drop out at different batches
     max_samples=st.one_of(st.integers(2, 30_000), st.integers(100_000, 250_000)),
 )
+# x that stop at the first check, inside a window of 4 batches drawn ahead
+# (at 3.5e5 and 3.6e5) and at a cap of 41 batches, the last one partial
+@example(ParetoIntegratedTail(alpha=7.011834754310252), 0.39, [0.25, 3.25, 16.25],
+         0.0201, 105, 401_234)
+@example(ExponentialIntegrated(rate=4.132231759454984), 0.34, [1.25, 9.75, 20.0],
+         0.0219, 213, 401_234)
 def test_ak_estimate_grid_equals_per_x_estimates(model, rho, xs, target_rel_err,
                                                  seed, max_samples):
     q = QueueModel(model=model, rho=rho)
@@ -416,6 +431,38 @@ def test_ak_estimate_grid_equals_per_x_estimates(model, rho, xs, target_rel_err,
         for f in dataclasses.fields(SimulationEstimate):
             a, b = getattr(est, f.name), getattr(want, f.name)
             assert a == b and type(a) is type(b), (x, f.name, a, b)
+
+
+# (model, rho, xs, target_rel_err, seed, the estimates' sample counts)
+_DRAW_CASES = {
+    "all-stop-at-check": (ParetoIntegratedTail(alpha=3.5), 0.5, [1.0, 2.0], 0.5, 1,
+                          [100_000, 100_000]),
+    "stop-inside-window": (ParetoIntegratedTail(alpha=7.011834754310252), 0.39, [3.25],
+                           0.0201, 105, [360_000]),
+    "stop-and-cap": (ParetoIntegratedTail(alpha=7.011834754310252), 0.39,
+                     [0.25, 3.25, 16.25], 0.0201, 105, [100_000, 360_000, 401_234]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAW_CASES))
+def test_ak_estimate_grid_draws_ahead_at_most_one_batch_in_8(name, monkeypatch):
+    model, rho, xs, target_rel_err, seed, n_samples = _DRAW_CASES[name]
+    drawn = []
+    batch = kernels.ak_batch
+
+    def counting_batch(*args, **kwargs):
+        drawn.append(args[5])
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "ak_batch", counting_batch)
+    got = ak_estimate_grid(QueueModel(model=model, rho=rho), xs,
+                           target_rel_err=target_rel_err, seed=seed, max_samples=401_234)
+    assert [est.n_samples for est in got] == n_samples
+    most = max(n_samples)
+    if most == mc.MIN_SAMPLES_BEFORE_CHECK:
+        assert sum(drawn) == most  # nothing past the first check before it runs
+    else:
+        assert most <= sum(drawn) <= most * 9 / 8
 
 
 def test_geom_crude_mc_matches_conditioned_queue():
@@ -547,6 +594,12 @@ _ARGUMENT_CHECKS = {
     "pk_truncated-order": (lambda: pk_truncated(_Q, -1.0, tol=0.0), _NEG_X),
     "ak_estimate-max_samples-nan": (lambda: ak_estimate(_Q, 1.0, max_samples=math.nan),
                                     "max_samples must be at least 2"),
+    "ak_estimate-max_samples-frac": (
+        lambda: ak_estimate(_Q, 1.0, max_samples=145_000.5),
+        r"^max_samples must be an integer, got 145000\.5$"),
+    "ak_estimate-max_samples-inf": (lambda: ak_estimate(_Q, 1.0, max_samples=math.inf),
+                                    r"^max_samples must be an integer, got inf$"),
+    "ak_estimate-x-inf": (lambda: ak_estimate(_Q, math.inf), _INF_X),
     "ak_estimate-target_rel_err0": (lambda: ak_estimate(_Q, 1.0, target_rel_err=0.0),
                                     r"^target_rel_err must be positive, got 0\.0$"),
     "ak_estimate-order": (lambda: ak_estimate(_Q, -1.0, target_rel_err=0.0), _NEG_X),
@@ -554,9 +607,15 @@ _ARGUMENT_CHECKS = {
     "crude_mc-n_samples-nan": (lambda: crude_mc(_Q, 1.0, n_samples=math.nan),
                                "need at least 100 samples"),
     "crude_mc-x-neg": (lambda: crude_mc(_Q, -1.0, 100), _NEG_X),
+    "crude_mc-x-inf": (lambda: crude_mc(_Q, math.inf, 100), _INF_X),
+    "crude_mc-n_samples-frac": (lambda: crude_mc(_Q, 1.0, n_samples=100.5),
+                                r"^n_samples must be an integer, got 100\.5$"),
+    "crude_mc-n_samples-inf": (lambda: crude_mc(_Q, 1.0, n_samples=math.inf),
+                               r"^n_samples must be an integer, got inf$"),
     "crude_mc-order": (lambda: crude_mc(_Q, -1.0, 50),
                        r"^need at least 100 samples, got 50$"),
     "geom_crude_mc-x-neg": (lambda: geom_crude_mc(_G, -1.0, 100), _NEG_X),
+    "geom_crude_mc-x-inf": (lambda: geom_crude_mc(_G, math.inf, 100), _INF_X),
 }
 
 
