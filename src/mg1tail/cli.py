@@ -9,12 +9,17 @@ Subcommands:
   geom       geometric-sum threshold report
 
 Exit codes: 0 success, 2 usage error (also an input whose result overflows
-a float), 3 unsupported model/method combination, 4 output I/O failure.
+a float), 3 unsupported model/method combination, 4 I/O failure (output or
+config file).
 
-The env var MG1_SEED supplies the default --seed.  An optional
-``--config PATH`` file of ``key = value`` lines supplies defaults for any
-flag (keys use the flag name with dashes or underscores); explicit flags
-win over the file, the file wins over built-in defaults.
+The env var MG1_SEED is the default of --seed, read by the commands that
+take a seed when --seed is absent.  An optional ``--config PATH`` file of
+``key = value`` lines supplies defaults for the subcommand's flags (keys are
+flag names with dashes or underscores; keys of other subcommands are
+ignored).  Each line is parsed as ``--key=value``, or for a switch as the
+bare flag (true/yes/on) or nothing (false/no/off), so a value is taken
+exactly when the flag takes it.  Explicit flags win over the file, the file
+over MG1_SEED and built-in defaults.
 
 CSV sweeps open with ``# key = value`` metadata comment lines followed by a
 header row; floats carry 17 significant digits so parsing reproduces the
@@ -287,7 +292,9 @@ def cmd_geom(args) -> int:
     return 0
 
 
-def build_parser(seed_default: int):
+def build_parser(seed_default: str):
+    """The parser and its subcommand parsers by name; argparse converts the
+    string seed_default only when --seed is absent."""
     parser = argparse.ArgumentParser(
         prog="mg1tail",
         description="Waiting-time tail approximations for the M/G/1 queue.",
@@ -296,13 +303,11 @@ def build_parser(seed_default: int):
         "--version", action="version", version=f"mg1tail {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = []
 
     def add(name, fn, help_text):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=fn)
         sp.add_argument("--config", help="defaults file of `key = value` lines")
-        subparsers.append(sp)
         return sp
 
     def model_flags(sp):
@@ -361,22 +366,7 @@ def build_parser(seed_default: int):
     sp.add_argument("--n-samples", type=int, default=1_000_000)
     sp.add_argument("--seed", type=int, default=seed_default)
 
-    return parser, subparsers
-
-
-def _coerce(text: str):
-    t = text.strip()
-    low = t.lower()
-    if low in {"true", "yes", "on"}:
-        return True
-    if low in {"false", "no", "off"}:
-        return False
-    for cast in (int, float):
-        try:
-            return cast(t)
-        except ValueError:
-            pass
-    return t
+    return parser, sub.choices
 
 
 def _load_config(path: str) -> dict:
@@ -389,45 +379,50 @@ def _load_config(path: str) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{line_no}: expected `key = value`")
-            cfg[key.strip().replace("-", "_")] = _coerce(value)
+            cfg[key.strip().replace("-", "_")] = value.strip()
     return cfg
+
+
+def _config_argv(cfg: dict, sp) -> list:
+    """The values of cfg that are flags of sp as a command line of sp."""
+    argv = []
+    for a in sp._actions:
+        if a.dest not in cfg:
+            continue
+        flag, value = a.option_strings[0], cfg[a.dest]
+        if a.nargs == 0 and value.lower() in {"true", "yes", "on"}:
+            argv.append(flag)
+        elif not (a.nargs == 0 and value.lower() in {"false", "no", "off"}):
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def _parse_args(parser, commands: dict, argv: list):
+    """argv parsed, a --config file's values first set as the subcommand's
+    defaults by parsing them as its command line."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    cfg = _load_config(args.config)
+    known = {a.dest for sp in commands.values() for a in sp._actions} - {"help"}
+    unknown = set(cfg) - known
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    sp = commands[args.command]
+    # parsed onto args, so an absent --seed does not convert MG1_SEED again
+    given = vars(sp.parse_args(_config_argv(cfg, sp), args))
+    sp.set_defaults(**{a.dest: given[a.dest] for a in sp._actions if a.dest in cfg})
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser, commands = build_parser(os.environ.get("MG1_SEED", "0"))
     try:
-        seed_default = int(os.environ.get("MG1_SEED", "0"))
-    except ValueError:
-        print("error: MG1_SEED must be an integer", file=sys.stderr)
-        return 2
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
-    parser, subparsers = build_parser(seed_default)
-    if known.config is not None:
-        try:
-            cfg = _load_config(known.config)
-        except OSError as e:
-            print(f"error: cannot read config: {e}", file=sys.stderr)
-            return 4
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        all_dests = set()
-        for sp in [parser, *subparsers]:
-            dests = {a.dest for a in sp._actions}
-            all_dests |= dests
-            sp.set_defaults(**{k: v for k, v in cfg.items() if k in dests})
-        unknown = set(cfg) - all_dests
-        if unknown:
-            print(f"error: unknown config keys: {sorted(unknown)}", file=sys.stderr)
-            return 2
-    try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, commands, argv)
+        return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        return args.func(args)
     except (UnsupportedModelError, ResourceBudgetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

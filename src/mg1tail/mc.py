@@ -214,6 +214,7 @@ def _crude(model, rho, x, n_samples, seed, n_offset) -> SimulationEstimate:
     if not n_samples >= 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
     n_samples = check_integer("n_samples", n_samples)
+    seed = check_integer("seed", seed)
     check_nonnegative("x", x)
     check_finite("x", x)
     # the hits are whole numbers, so their float sum is exact in any grouping
@@ -269,6 +270,7 @@ def ak_estimate_grid(
     if not max_samples >= 2:
         raise ValueError(f"max_samples must be at least 2, got {max_samples}")
     max_samples = check_integer("max_samples", max_samples)
+    seed = check_integer("seed", seed)
     z = _z_value(confidence)
     s1 = [0.0] * len(xs)
     s2 = [0.0] * len(xs)

@@ -289,3 +289,90 @@ def test_config_file_errors(tmp_path, capsys):
                   "--rho", "0.5", "--x", "1", "--method", "ht")
     assert code == 2
     assert main(["approx", "--config", str(tmp_path / "missing.cfg")]) == 4
+
+
+_SWEEP_CFG = ("dist = pareto-it:alpha=3.5\nrho = 0.8\nx_min = 1\nx-max = 10\npoints = 4\n")
+_POINT_CFG = "dist = exp:rate=1\nrho = 0.5\nx = 2\n"
+
+# a config value is taken exactly when the same text is taken by the flag;
+# each case is (command, config lines, last stderr line), exit code 2
+_CONFIG_REJECTS = {
+    "points-float": ("sweep", _SWEEP_CFG + "points = 4.5\n",
+                     "mg1tail sweep: error: argument --points: invalid int value: '4.5'"),
+    "method-choice": ("approx", _POINT_CFG + "method = bogus\n",
+                      "mg1tail approx: error: argument --method: invalid choice: 'bogus' "
+                      "(choose from 'ht', 'tail', 'h', 'j', 'h-clt', 'cl', 'corrected-ht', "
+                      "'geom')"),
+    "format-choice": ("sweep", _SWEEP_CFG + "format = xml\n",
+                      "mg1tail sweep: error: argument --format: invalid choice: 'xml' "
+                      "(choose from 'csv', 'json')"),
+    "switch-word": ("sweep", _SWEEP_CFG + "simulate = maybe\n",
+                    "mg1tail sweep: error: argument --simulate: ignored explicit "
+                    "argument 'maybe'"),
+    "seed-float": ("simulate", _POINT_CFG + "seed = 1.5\n",
+                   "mg1tail simulate: error: argument --seed: invalid int value: '1.5'"),
+    "n_samples-exponent": ("simulate", _POINT_CFG + "method = crude\nn_samples = 1e5\n",
+                           "mg1tail simulate: error: argument --n-samples: invalid int "
+                           "value: '1e5'"),
+    "help-key": ("simulate", _POINT_CFG + "help = 1\n", "error: unknown config keys: ['help']"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIG_REJECTS))
+def test_config_value_rejected_like_the_flag(name, tmp_path, capsys):
+    command, text, message = _CONFIG_REJECTS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "table.csv"
+    argv = [command, "--config", str(cfg)] + (["--out", str(out)] if command == "sweep" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines()[-1] == message
+
+
+def test_config_switch_words(tmp_path, capsys):
+    argv = ["geom", "--betaY", "2.5", "--p", "0.05", "--x", "149.787", "--n-samples", "1000"]
+    cfg = tmp_path / "run.cfg"
+    for text, extra, simulates in (("simulate = yes\n", [], True),
+                                   ("simulate = false\n", [], False),
+                                   ("simulate = false\n", ["--simulate"], True)):
+        cfg.write_text(text)
+        code, out = run(capsys, *argv, "--config", str(cfg), *extra)
+        assert code == 0
+        assert ("estimate" in parse_record(out)) is simulates
+
+
+def test_config_value_equals_flag_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("x = 10\n")
+    argv = ["approx", "--dist", "pareto-it:alpha=3.5", "--rho", "0.8", "--method", "j"]
+    assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv, "--x", "10")
+
+
+def test_config_sweep_bytes_equal_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    # method belongs to other subcommands only, so sweep ignores it
+    cfg.write_text(_SWEEP_CFG + "log-grid = yes\nsimulate = on\nrel_err = 0.1\nseed = 9\n"
+                   "format = json\nmethod = ht\n")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["sweep", "--config", str(cfg), "--out", str(a)]) == 0
+    assert main(["sweep", "--dist", "pareto-it:alpha=3.5", "--rho", "0.8", "--x-min", "1",
+                 "--x-max", "10", "--points", "4", "--log-grid", "--simulate",
+                 "--rel-err", "0.1", "--seed", "9", "--format", "json",
+                 "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_bad_seed_environment(capsys, monkeypatch):
+    monkeypatch.setenv("MG1_SEED", "abc")
+    model = ["--dist", "pareto-it:alpha=3.5", "--rho", "0.8"]
+    assert main(["simulate", *model, "--x", "10", "--max-samples", "1000"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "mg1tail simulate: error: argument --seed: invalid int value: 'abc'")
+    # threshold takes no seed, and an explicit --seed is not the default
+    assert run(capsys, "threshold", *model)[0] == 0
+    code, out = run(capsys, "simulate", *model, "--x", "10", "--max-samples", "1000",
+                    "--seed", "3")
+    assert code == 0 and parse_record(out)["seed"] == "3"

@@ -335,6 +335,9 @@ def test_integral_float_sample_counts_are_accepted():
     got = ak_estimate(q, 200.0, target_rel_err=1e-9, seed=9, max_samples=1.45e5)
     assert got == ak_estimate(q, 200.0, target_rel_err=1e-9, seed=9, max_samples=145_000)
     assert got.n_samples == 145_000 and type(got.n_samples) is int
+    # an integral float seed is recorded as the int it draws with
+    for est in (crude_mc(q, 5.0, 1e5, seed=9.0), ak_estimate(q, 25.0, seed=9.0)):
+        assert est.seed == 9 and type(est.seed) is int
 
 
 def test_ak_stop_rule():
@@ -510,6 +513,7 @@ _G = GeomModel(y_model=ParetoIntegratedTail(alpha=4.0), p=0.2)
 _EXP = ExponentialIntegrated(rate=1.0)
 _NEG_X = r"^x must be nonnegative, got -1\.0$"
 _INF_X = r"^x must be finite, got inf$"
+_FRAC_SEED = r"^seed must be an integer, got 1\.5$"
 
 
 def _grid_args(x_min=1.0, x_max=10.0):
@@ -616,6 +620,11 @@ _ARGUMENT_CHECKS = {
                        r"^need at least 100 samples, got 50$"),
     "geom_crude_mc-x-neg": (lambda: geom_crude_mc(_G, -1.0, 100), _NEG_X),
     "geom_crude_mc-x-inf": (lambda: geom_crude_mc(_G, math.inf, 100), _INF_X),
+    "ak_estimate-seed-frac": (lambda: ak_estimate(_Q, 1.0, seed=1.5), _FRAC_SEED),
+    "ak_estimate_grid-seed-frac": (lambda: ak_estimate_grid(_Q, [1.0, 2.0], seed=1.5),
+                                   _FRAC_SEED),
+    "crude_mc-seed-frac": (lambda: crude_mc(_Q, 1.0, 100, seed=1.5), _FRAC_SEED),
+    "geom_crude_mc-seed-frac": (lambda: geom_crude_mc(_G, 1.0, 100, seed=1.5), _FRAC_SEED),
 }
 
 
@@ -624,3 +633,4 @@ def test_argument_checks(name):
     call, message = _ARGUMENT_CHECKS[name]
     with pytest.raises(ValueError, match=message):
         call()
+
