@@ -29,6 +29,7 @@ import numpy as np
 
 from .distributions import IntegratedTailModel, QueueModel, tail_prob
 from .errors import UnsupportedModelError, check_finite, check_nonnegative
+from .kernels import keep_heap
 
 # terms below this magnitude are skipped so summation order quirks at the
 # subnormal boundary cannot leak into results
@@ -210,20 +211,64 @@ def t_tail(q: QueueModel, x) -> float:
 _QUAD_NODES = 2_000_001
 # nodes per block over which t_tail_z bounds the exponent
 _QUAD_BLOCK = 256
+# nodes per step of the node build, which keeps its temporaries under 1 MiB
+_NODE_CHUNK = 1 << 13
+
+# Cephes ndtri (Moshier 1989), which scipy.special.ndtri runs: a rational in
+# y - 1/2 for y in (e^-2, 1 - e^-2], else one in 1/x, x = sqrt(-2 log y) for
+# the nearer tail y, whose form for x < 8 (y > e^-32) alone is ported, as every
+# node has x < 5.52.  np.polyval is Horner's rule, Cephes' polevl, bit for bit;
+# the Q tables carry the leading 1 that Cephes' p1evl leaves out
+_E2, _S2PI = 0.13533528323661269189, 2.50662827463100050242  # e^-2, sqrt(2 pi)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+
+
+def _log(x):
+    """log of each element by libm, as Cephes takes it (np.log's vector loops
+    may differ by an ulp)."""
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+
+
+def _ndtri(y):
+    """Phi^{-1}(y) in place, for every y in (e^-32, 1 - e^-32): Cephes ndtri's
+    bits."""
+    lo = y <= _E2
+    hi = y > 1.0 - _E2
+    mid = ~(lo | hi)
+    v = y[mid] - 0.5
+    w = v * v
+    v += v * (w * np.polyval(_P0, w) / np.polyval(_Q0, w))
+    y[mid] = v * _S2PI
+    for side, tail, sign in ((lo, y[lo], -1.0), (hi, 1.0 - y[hi], 1.0)):
+        x = np.sqrt(-2.0 * _log(tail))
+        r = 1.0 / x
+        x -= _log(x) / x
+        x -= r * np.polyval(_P1, r) / np.polyval(_Q1, r)
+        y[side] = sign * x
 
 
 @functools.cache
 def _quad_nodes() -> np.ndarray:
     """The quadrature nodes z_i in increasing order, built on first use and
-    shared read-only by every call; the package imports scipy only here.  Each
-    step works in place on the one node array, so the build needs no second
-    node-sized array and gives the bits of ndtri((arange(K) + 0.5) / K)."""
-    from scipy.special import ndtri
-
+    shared read-only by every call.  The build works in place on the one node
+    array, _NODE_CHUNK nodes at a time, so it needs no second node-sized array,
+    and gives the bits of scipy.special.ndtri((arange(K) + 0.5) / K)."""
+    keep_heap(8 * _CHUNK)  # t_tail_z's temporaries then stay on the heap
     z = np.arange(_QUAD_NODES, dtype=float)
     z += 0.5
     z /= _QUAD_NODES
-    ndtri(z, out=z)
+    for i in range(0, z.size, _NODE_CHUNK):
+        _ndtri(z[i:i + _NODE_CHUNK])
     z.flags.writeable = False
     return z
 

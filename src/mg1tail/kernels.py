@@ -55,15 +55,20 @@ _local = threading.local()
 _GOLD = int(rng.GOLD_U64)
 
 
+def keep_heap(nbytes):
+    """Keep glibc from handing freed blocks of up to nbytes back to the OS:
+    freeing a block it had to mmap raises its mmap threshold (128 KiB at
+    first) to the block's size and its heap trim threshold to twice that
+    (mallopt(3), M_MMAP_THRESHOLD), so temporaries are not faulted in anew."""
+    np.empty(nbytes, dtype=np.uint8)
+
+
 def _buffers():
     """This thread's counter and draw buffers."""
     bufs = getattr(_local, "bufs", None)
     if bufs is None or bufs[0].size != CHUNK_DRAWS:
-        # glibc hands the free memory at the top of its heap back to the OS
-        # past a trim threshold of 128 KiB, so each batch would fault its
-        # O(nreps) arrays in again; freeing a block it had to mmap raises
-        # that threshold to twice the block (mallopt(3), M_MMAP_THRESHOLD)
-        np.empty(CHUNK_DRAWS, dtype=np.uint64)
+        # each batch would otherwise fault its O(nreps) arrays in again
+        keep_heap(8 * CHUNK_DRAWS)
         bufs = _local.bufs = (np.empty(CHUNK_DRAWS, dtype=np.uint64),
                               np.empty(CHUNK_DRAWS, dtype=np.uint64))
     return bufs

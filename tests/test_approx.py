@@ -45,6 +45,7 @@ from mg1tail import (
     threshold_x,
 )
 from mg1tail.approx import (
+    _E2,
     _GRID_MIN,
     _QUAD_BLOCK,
     _QUAD_NODES,
@@ -52,6 +53,7 @@ from mg1tail.approx import (
     _TERM_FLOOR,
     _exact_dot,
     _exponent_bounds,
+    _ndtri,
     _quad_nodes,
     _sigma,
 )
@@ -382,11 +384,12 @@ def test_quad_nodes_cached_read_only():
     # t_tail_z's block bounds take each block's end nodes as its extremes
     assert (np.diff(z) > 0).all()
     # built on first use, not when the package or its CLI is imported, and
-    # scipy is not loaded before then either
-    probe = ("import sys, mg1tail.cli, mg1tail.approx as a; "
-             "print(a._quad_nodes.cache_info().currsize, "
-             "'scipy.special' in sys.modules)")
-    assert _fresh_python(probe).split() == ["0", "False"]
+    # scipy is not loaded before then, nor by the build
+    probe = ("import sys, mg1tail, mg1tail.cli, mg1tail.approx as a; "
+             "print(a._quad_nodes.cache_info().currsize, 'scipy' in sys.modules); "
+             "mg1tail.t_tail_z(mg1tail.QueueModel(mg1tail.ParetoIntegratedTail(3.5), 0.8), 5.0); "
+             "print(a._quad_nodes.cache_info().currsize, 'scipy' in sys.modules)")
+    assert _fresh_python(probe).split() == ["0", "False", "1", "False"]
 
 
 def _fresh_python(probe):
@@ -395,6 +398,32 @@ def _fresh_python(probe):
     src = str(pathlib.Path(mg1tail.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+
+
+@settings(max_examples=1000, deadline=None)
+@given(y=st.lists(st.floats(0.5 / _QUAD_NODES, 1.0 - 0.5 / _QUAD_NODES),
+                  min_size=1, max_size=40))
+# either side of the bounds of the central branch, e^-2 and 1 - e^-2
+@example(y=[math.nextafter(_E2, 0.0)])
+@example(y=[_E2])
+@example(y=[math.nextafter(_E2, 1.0)])
+@example(y=[math.nextafter(1.0 - _E2, 0.0)])
+@example(y=[1.0 - _E2])
+@example(y=[math.nextafter(1.0 - _E2, 1.0)])
+@example(y=[0.5])
+def test_ndtri_port_bit_identical_to_scipy(y):
+    got = np.array(y)
+    _ndtri(got)
+    assert np.array_equal(got.view(np.int64), ndtri(np.array(y)).view(np.int64))
+
+
+def test_node_tails_stay_below_x_8():
+    # Cephes takes a third rational where x = sqrt(-2 log y) >= 8 for the
+    # nearer tail y; _ndtri leaves it out, since no node comes near it
+    u = (np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES
+    x = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
+    assert x.max() < 8.0
+    assert x.max() < 5.52
 
 
 def test_quad_nodes_built_in_one_array():
