@@ -21,7 +21,6 @@ integrated-tail law X has mean mu and tail F̄.  The approximations here:
 """
 
 from dataclasses import dataclass
-import functools
 import itertools
 import math
 
@@ -35,8 +34,6 @@ from .kernels import keep_heap
 # subnormal boundary cannot leak into results
 _TERM_FLOOR = 1e-300
 _SERIES_TOL = 1e-12
-# elements per vector chunk in t_tail_z, which bounds its memory
-_CHUNK = 1 << 16
 # elements per (n, x) block of t_tail_grid's terms, which bounds its memory
 _GRID_BLOCK = 1 << 14
 # shorter grids add each x's terms in a Python loop, cheaper there than numpy
@@ -209,10 +206,8 @@ def t_tail(q: QueueModel, x) -> float:
 # midpoint rule in the probability domain: u_i = (i+0.5)/K, z_i = Phi^{-1}(u_i);
 # the outermost nodes sit at |z| = 5.03
 _QUAD_NODES = 2_000_001
-# nodes per block over which t_tail_z bounds the exponent
-_QUAD_BLOCK = 256
-# nodes per step of the node build, which keeps its temporaries under 1 MiB
-_NODE_CHUNK = 1 << 13
+# crossings per chunk of the nodes t_tail_z evaluates first, which bounds its memory
+_GUIDE_CROSSINGS = 1 << 13
 
 # Cephes ndtri (Moshier 1989), which scipy.special.ndtri runs: a rational in
 # y - 1/2 for y in (e^-2, 1 - e^-2], else one in 1/x, x = sqrt(-2 log y) for
@@ -242,64 +237,90 @@ def _log(x):
 def _ndtri(y):
     """Phi^{-1}(y) in place, for every y in (e^-32, 1 - e^-32): Cephes ndtri's
     bits."""
-    lo = y <= _E2
-    hi = y > 1.0 - _E2
-    mid = ~(lo | hi)
+    mid = (y > _E2) & (y <= 1.0 - _E2)
     v = y[mid] - 0.5
     w = v * v
     v += v * (w * np.polyval(_P0, w) / np.polyval(_Q0, w))
+    tail = y[~mid]
     y[mid] = v * _S2PI
-    for side, tail, sign in ((lo, y[lo], -1.0), (hi, 1.0 - y[hi], 1.0)):
-        x = np.sqrt(-2.0 * _log(tail))
-        r = 1.0 / x
-        x -= _log(x) / x
-        x -= r * np.polyval(_P1, r) / np.polyval(_Q1, r)
-        y[side] = sign * x
+    # both tails at once: the nearer one is y below 1/2 and 1 - y above it
+    x = np.sqrt(-2.0 * _log(np.minimum(tail, 1.0 - tail)))
+    r = 1.0 / x
+    x -= _log(x) / x
+    x -= r * np.polyval(_P1, r) / np.polyval(_Q1, r)
+    y[~mid] = np.copysign(x, tail - 0.5)
 
 
-@functools.cache
-def _quad_nodes() -> np.ndarray:
-    """The quadrature nodes z_i in increasing order, built on first use and
-    shared read-only by every call.  The build works in place on the one node
-    array, _NODE_CHUNK nodes at a time, so it needs no second node-sized array,
-    and gives the bits of scipy.special.ndtri((arange(K) + 0.5) / K)."""
-    keep_heap(8 * _CHUNK)  # t_tail_z's temporaries then stay on the heap
-    z = np.arange(_QUAD_NODES, dtype=float)
-    z += 0.5
-    z /= _QUAD_NODES
-    for i in range(0, z.size, _NODE_CHUNK):
-        _ndtri(z[i:i + _NODE_CHUNK])
-    z.flags.writeable = False
-    return z
+def _nodes(i, a, c, dead):
+    """Rows index, w, t and exponent of the nodes at the indices i: z =
+    Phi^{-1}((i + 0.5)/K) by _ndtri, w = a z, t = sqrt(c + w^2) - w and the
+    exponent floor(t^2) + 1, capped at dead."""
+    w = (i + 0.5) / _QUAD_NODES
+    _ndtri(w)
+    w *= a
+    t = np.sqrt(c + w * w) - w
+    return np.vstack((i, w, t, np.minimum(np.floor(t * t) + 1.0, dead)))
 
 
-def _exponent_bounds(w_lo, w_hi, c):
-    """Bounds on floor(t^2) + 1, t = sqrt(c + w^2) - w, over w in [w_lo, w_hi]
-    (the proof is in t_tail_z)."""
-    s_lo = np.sqrt(c + np.maximum(np.maximum(w_lo, -w_hi), 0.0) ** 2)
-    s_hi = np.sqrt(c + np.maximum(-w_lo, w_hi) ** 2)
-    t_lo, t_hi = s_lo - w_hi, s_hi - w_lo
-    return (np.floor(np.maximum(np.maximum(t_lo, -t_hi), 0.0) ** 2) + 1.0,
-            np.floor(np.maximum(-t_lo, t_hi) ** 2) + 1.0)
+def _one_exponent(w0, t0, w1, t1, c, dead):
+    """Whether the nodes between two evaluated ones at w0 <= w1 share one
+    capped exponent (the bound is in t_tail_z)."""
+    v = np.maximum(-w0, w1)
+    d = (np.sqrt(c + v * v) + v) * 2.0**-50 + 2.0**-535
+    least = np.maximum(np.maximum(t1 - d, -t0 - d), 0.0)
+    most = np.maximum(d - t1, t0 + d)
+    return (np.minimum(np.floor(least * least) + 1.0, dead)
+            == np.minimum(np.floor(most * most) + 1.0, dead))
 
 
-def _runs(rows, a, c):
-    """(exponent, node count) of each run of equal exponents along the rows of
-    nodes; each row starts a run."""
-    w = a * rows
-    # t = sqrt(c + w^2) - w, then floor(t^2), in place; a run of floor(t^2)
-    # lies within a run of the exponent, which is 1 more
-    t = w * w
-    t += c
-    np.sqrt(t, out=t)
-    t -= w
-    t *= t
-    np.floor(t, out=t)
-    new = np.empty(t.shape, dtype=bool)
-    new[:, 0] = True
-    np.not_equal(t[:, 1:], t[:, :-1], out=new[:, 1:])
-    k = np.flatnonzero(new)
-    return t.ravel()[k] + 1.0, np.diff(k, append=t.size)
+def _histogram(expo, counts):
+    """The distinct exponents of the concatenated arrays and the count of each."""
+    expo, at = np.unique(np.concatenate(expo), return_inverse=True)
+    return expo, np.bincount(at, weights=np.concatenate(counts))
+
+
+def _tally(nodes, a, c, dead):
+    """The node count per capped exponent from the first of the evaluated
+    nodes (columns of _nodes, in increasing order) up to the last, not
+    included.  A gap between evaluated nodes is one run if no node lies
+    inside, if its ends have one w, or if _one_exponent proves it; else it is
+    split at its middle node and at the nodes next to its ends, as an end may
+    sit on a crossing."""
+    left, right = nodes[:, :-1], nodes[:, 1:]
+    expo, counts = [np.empty(0)], [np.empty(0)]
+    while True:
+        n = right[0] - left[0]
+        one = (n <= 1.0) | (left[1] == right[1]) | _one_exponent(*left[1:3], *right[1:3], c, dead)
+        expo.append(left[3, one])
+        counts.append(n[one])
+        if one.all():
+            return _histogram(expo, counts)
+        left, right, n = left[:, ~one], right[:, ~one], n[~one]
+        inner = left[0, :, None] + np.stack((np.ones_like(n), np.floor(n / 2.0), n - 1.0), axis=1)
+        inner = _nodes(inner.ravel(), a, c, dead).reshape(4, -1, 3)
+        split = np.concatenate((left[:, :, None], inner, right[:, :, None]), axis=2)
+        left, right = split[:, :, :-1].reshape(4, -1), split[:, :, 1:].reshape(4, -1)
+
+
+def _crossing_nodes(k, a, c):
+    """The estimated node index just before each crossing t^2 = k: t(w) =
+    sqrt(k) at w = (c - k)/(2 sqrt(k)), and z = w/a is node K Phi(z) - 1/2."""
+    z = (c - k) / (2.0 * np.sqrt(k)) / a * -math.sqrt(0.5)
+    return np.floor(np.fromiter(map(math.erfc, z.tolist()), float, z.size)
+                    * (0.5 * _QUAD_NODES) - 0.5)
+
+
+def _guides(a, c, bottom, top):
+    """Chunks, in node order, of the nodes to evaluate first: either side of
+    each crossing t^2 = k, bottom <= k < top, _GUIDE_CROSSINGS at a time; or
+    every node, where the crossings outnumber half the nodes."""
+    if top - bottom > _QUAD_NODES // 2:
+        for j in range(0, _QUAD_NODES, 2 * _GUIDE_CROSSINGS):
+            yield np.arange(j, min(j + 2 * _GUIDE_CROSSINGS, _QUAD_NODES), dtype=float)
+        return
+    for k in range(top - 1, bottom - 1, -_GUIDE_CROSSINGS):
+        i = _crossing_nodes(np.arange(k, max(k - _GUIDE_CROSSINGS, bottom - 1), -1.0), a, c)
+        yield np.concatenate((i, i + 1.0))
 
 
 def _exact_dot(counts, vals):
@@ -321,38 +342,41 @@ def t_tail_z(q: QueueModel, x) -> float:
     sqrt(n)))), so the two implementations cross-check each other.  The result
     is the sum of the node values, rounded once, divided by _QUAD_NODES.
 
-    The exponent is bounded per block of _QUAD_BLOCK nodes and evaluated node
-    by node only where the bounds differ.  Rounding to nearest is monotone
-    (Higham 2002, ch. 2), so on a block of increasing nodes w = fl(a z), a >= 0,
-    lies in [w_lo, w_hi], s = fl(sqrt(fl(c + fl(w^2)))) between its values at
-    min|w| (0 if the block straddles z = 0) and max|w|, t = fl(s - w) in
-    [fl(s_lo - w_hi), fl(s_hi - w_lo)], and floor(fl(t t)) + 1 between its
-    values at min|t| (0 if that range holds 0: t can be -1 ulp at x = 0) and
-    max|t|."""
+    No node table is kept: a node is built from its index where needed.  With
+    w = fl(a z) and c = x/mu, t(w) = sqrt(c + w^2) - w falls as w grows, and
+    t^2 = k at w = (c - k)/(2 sqrt(k)).  The nodes either side of each such
+    crossing are evaluated first, and each gap between evaluated nodes is
+    proved to hold one exponent (_tally), so the estimates steer only the work.
+    Proof: by the standard model of rounding (Higham 2002, ch. 3, u = 2^-53),
+    |fl(t(w)) - t(w)| <= 3.01 u s(w), s(w) = sqrt(c + w^2) + |w|, plus 2^-537
+    where w^2 underflows.  Rounding is monotone and the nodes increase, so
+    between evaluated nodes w lies in [w0, w1], t(w) in [t(w1), t(w0)] and s(w)
+    is at most s at the end of larger |w|.  So fl(t) lies in [fl(t1) - d,
+    fl(t0) + d], d = 2 gamma u s + 2^-535 with gamma = 4 (6.02 u s for the two
+    ends, the rest for rounding d and t -+ d), and floor(fl(t t)) + 1 between
+    its values at the least and the greatest |t| there.  Exponents from `dead`
+    on, where rho^e underflows, count as one."""
     check_nonnegative("x", x)
     sigma = _sigma(q)
     mu = q.model.mean()
     rho = q.rho
-    z = _quad_nodes()
     a = sigma / (2.0 * mu)
     c = x / mu
-    n_blocks = z.size // _QUAD_BLOCK
-    blocks = z[:n_blocks * _QUAD_BLOCK].reshape(n_blocks, _QUAD_BLOCK)
-    lower, upper = _exponent_bounds(a * blocks[:, 0], a * blocks[:, -1], c)
-    shut = lower == upper
-    # the open blocks _CHUNK nodes at a time, which bounds the temporaries (a
-    # group of consecutive blocks is read in place), then the last 129 nodes
-    opened = np.flatnonzero(~shut)
-    step = _CHUNK // _QUAD_BLOCK
-    groups = (opened[i:i + step] for i in range(0, opened.size, step))
-    runs = [_runs(blocks[g[0]:g[-1] + 1] if g[-1] - g[0] == g.size - 1 else blocks[g],
-                  a, c) for g in groups]
-    runs.append(_runs(z[n_blocks * _QUAD_BLOCK:][None], a, c))
-    # a shut block is one run
-    runs.append((lower[shut], np.full(np.count_nonzero(shut), _QUAD_BLOCK)))
-    # the node count per exponent; exp runs once per exponent
-    expo, at = np.unique(np.concatenate([r[0] for r in runs]), return_inverse=True)
-    counts = np.bincount(at, weights=np.concatenate([r[1] for r in runs]))
+    if c == math.inf:
+        return 0.0  # t is +inf at every node
+    keep_heap(1 << 19)  # freed blocks up to 512 KiB then stay on the heap
+    dead = float(math.ceil(-746.0 / math.log(rho)))  # e log(rho) <= -746 from here on
+    ends = _nodes(np.array([0.0, _QUAD_NODES - 1.0]), a, c, dead)
+    runs = [(ends[3, 1:], np.ones(1))]  # the last node
+    last = ends[:, :1]
+    for guide in _guides(a, c, int(ends[3, 1]), int(ends[3, 0])):
+        i = np.unique(guide)
+        i = i[(i > last[0, 0]) & (i < _QUAD_NODES - 1.0)]
+        nodes = np.hstack((last, _nodes(i, a, c, dead)))
+        runs.append(_tally(nodes, a, c, dead))
+        last = nodes[:, -1:]
+    runs.append(_tally(np.hstack((last, ends[:, 1:])), a, c, dead))
+    expo, counts = _histogram(*zip(*runs))
     e = expo * math.log(rho)
     vals = np.exp(e)
     vals[e < -745.0] = 0.0

@@ -44,17 +44,17 @@ from mg1tail import (
     tail_prob,
     threshold_x,
 )
+from mg1tail import approx
 from mg1tail.approx import (
     _E2,
     _GRID_MIN,
-    _QUAD_BLOCK,
     _QUAD_NODES,
     _SERIES_TOL,
     _TERM_FLOOR,
     _exact_dot,
-    _exponent_bounds,
     _ndtri,
-    _quad_nodes,
+    _nodes,
+    _one_exponent,
     _sigma,
 )
 
@@ -197,30 +197,55 @@ def _t_tail_z_per_node(q, x):
 # x/mu = 3: the exponent steps from 4 to 3 at z = 0, inside the block that
 # straddles it
 @example(model=ExponentialIntegrated(1.0), rho=0.5, x=3.0)
+# a one-point law: sigma = 0, so every node has w = 0 and one exponent
+@example(model=Lattice(h=1.0, mass=[0.0, 1.0]), rho=0.5, x=2.0)
+# every value underflows, and t is +inf at every node
+@example(model=ParetoIntegratedTail(3.5), rho=0.5, x=1e12)
+@example(model=ParetoIntegratedTail(3.5), rho=0.5, x=math.inf)
+# sigma/mu = 100: 2.0M exponent steps, so every node is evaluated
+@example(model=Lattice(h=1.0, mass=[0.9999] + [0.0] * 9999 + [0.0001]), rho=0.9999,
+         x=4e6)
 def test_t_tail_z_bit_identical_to_per_node_form(model, rho, x):
     q = QueueModel(model=model, rho=rho)
     assert t_tail_z(q, x) == _t_tail_z_per_node(q, x)
 
 
+def _node_slice(i):
+    """The nodes i to i + 255, or to the last node."""
+    return _nodes(np.arange(i, min(i + 256, _QUAD_NODES), dtype=float), 1.0, 0.0, math.inf)[1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     z=st.one_of(
-        # a block of the quadrature nodes, the short last one included
-        st.integers(0, _QUAD_NODES // _QUAD_BLOCK).map(
-            lambda b: _quad_nodes()[b * _QUAD_BLOCK:(b + 1) * _QUAD_BLOCK]),
+        # a slice of the quadrature nodes, the short last one included
+        st.integers(0, _QUAD_NODES - 1).map(_node_slice),
         st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=300).map(np.sort),
     ),
     a=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
-    c=st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e7)),
+    c=st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e7), st.just(1e7)),
+    dead=st.one_of(st.just(math.inf), st.floats(1.0, 1e4).map(math.ceil)),
 )
-@example(z=np.array([-1e-4, 0.0, 1e-4]), a=1.0, c=3.0)
-@example(z=np.array([0.5, 1.0]), a=1.0, c=0.0)
-def test_exponent_bounds_hold_every_node(z, a, c):
+@example(z=np.array([-1e-4, 0.0, 1e-4]), a=1.0, c=3.0, dead=math.inf)
+# c = 0: t = sqrt(w^2) - w dips to -1 ulp at some w < 0
+@example(z=np.array([0.5, 1.0]), a=1.0, c=0.0, dead=math.inf)
+@example(z=np.linspace(-5.0, -0.5, 300), a=1.0, c=0.0, dead=math.inf)
+@example(z=np.linspace(-5.0, 5.0, 300), a=3.0, c=1e7, dead=math.inf)
+# rounding makes the exponent 16, 15, 16 at three consecutive w: no gap
+# bound may call that one exponent
+@example(z=np.array([4.187014177148621, 4.187014177148656, 4.187014177148657]), a=1.0,
+         c=47.43247235686219, dead=math.inf)
+def test_exponent_bounds_hold_every_node(z, a, c, dead):
     w = a * z
-    t = np.sqrt(c + w ** 2) - w
-    expo = np.floor(t * t) + 1.0
-    lower, upper = _exponent_bounds(w[:1], w[-1:], c)
-    assert lower[0] <= expo.min() and expo.max() <= upper[0]
+    t = np.sqrt(c + w * w) - w
+    expo = np.minimum(np.floor(t * t) + 1.0, dead)
+    claim = _one_exponent(w[:1], t[:1], w[-1:], t[-1:], c, dead)[0]
+    if claim:
+        assert expo.min() == expo.max()
+    # and the claim is made where t^2 stays clear of every integer below dead
+    lo, hi = t.min() - 1e-6 * (1.0 + t.max()), t.max() + 1e-6 * (1.0 + t.max())
+    if lo > 0.0 and min(math.floor(hi * hi), dead) == min(math.floor(lo * lo), dead):
+        assert claim
 
 
 def _random_runs(n, seed):
@@ -278,16 +303,15 @@ def test_infinite_x_gives_zero_tail_terms():
                  id="every-block-open-live"),
 ])
 def test_t_tail_z_memory_is_bounded(q, x):
-    _quad_nodes()  # the cached nodes are not part of one call
     tracemalloc.start()
     try:
         t_tail_z(q, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # no node-sized array: the runs are found _CHUNK nodes at a time, and the
-    # sum lists the products of one half of the values at a time, one per
-    # exponent (0.6-4.4 MiB in all)
+    # no node-sized array: the nodes are built where needed, a chunk of
+    # crossings at a time, and the sum lists the products of one half of the
+    # values at a time, one per exponent
     assert peak <= 5 * 2**20
 
 
@@ -315,16 +339,26 @@ def _ref_t_tail(q, x):
 
 
 _X = st.one_of(st.just(0.0), st.floats(0.0, 1e5))
+# one rho per example, shared by the rho argument and the grid's length
+_RHO = st.shared(st.floats(0.01, 0.9999), key="rho")
+
+
+def _grid_len(rho):
+    """The longest grid, up to 40 points, on which the scalar reference runs
+    at most 2e6 terms: n_max(rho) per x, and once more for the single x."""
+    n_max = math.ceil(math.log(_SERIES_TOL) / math.log(rho))
+    return min(40, 2_000_000 // n_max - 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     model=st.one_of(st.floats(3.05, 8.0).map(ParetoIntegratedTail),
                     st.floats(0.1, 10.0).map(ExponentialIntegrated)),
-    rho=st.floats(0.01, 0.9999),
+    rho=_RHO,
     x=_X,
-    # unsorted, with repeats, 0 and +inf, of every length 1-40: both sides of _GRID_MIN
-    xs=st.integers(1, 40).flatmap(
+    # unsorted, with repeats, 0 and +inf, of every length 1-40 (at most 6 at
+    # rho = 0.9999): both sides of _GRID_MIN
+    xs=_RHO.flatmap(lambda rho: st.integers(1, _grid_len(rho))).flatmap(
         lambda k: st.lists(st.one_of(_X, st.just(math.inf)), min_size=k, max_size=k)),
 )
 # n_max = 276,297: the series crosses 16 block edges of one x
@@ -375,21 +409,17 @@ def test_t_tail_grid_memory_is_bounded(rho):
     assert peak <= 2**20
 
 
-def test_quad_nodes_cached_read_only():
-    z = _quad_nodes()
-    assert z is _quad_nodes()
-    assert not z.flags.writeable
-    # midpoint nodes reach only |z| = 5.03, so no node is ever dropped
-    assert z.size == _QUAD_NODES
-    # t_tail_z's block bounds take each block's end nodes as its extremes
-    assert (np.diff(z) > 0).all()
-    # built on first use, not when the package or its CLI is imported, and
-    # scipy is not loaded before then, nor by the build
-    probe = ("import sys, mg1tail, mg1tail.cli, mg1tail.approx as a; "
-             "print(a._quad_nodes.cache_info().currsize, 'scipy' in sys.modules); "
+def test_first_t_tail_z_call_is_small_and_scipy_free():
+    # no node table: the first call in a fresh process adds little RSS, and
+    # neither the package, its CLI nor the call loads scipy
+    probe = ("import resource, sys, mg1tail, mg1tail.cli; "
+             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
              "mg1tail.t_tail_z(mg1tail.QueueModel(mg1tail.ParetoIntegratedTail(3.5), 0.8), 5.0); "
-             "print(a._quad_nodes.cache_info().currsize, 'scipy' in sys.modules)")
-    assert _fresh_python(probe).split() == ["0", "False", "1", "False"]
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, "
+             "'scipy' in sys.modules)")
+    added_kib, scipy_loaded = _fresh_python(probe).split()
+    assert int(added_kib) <= 3 * 1024
+    assert scipy_loaded == "False"
 
 
 def _fresh_python(probe):
@@ -426,14 +456,50 @@ def test_node_tails_stay_below_x_8():
     assert x.max() < 5.52
 
 
-def test_quad_nodes_built_in_one_array():
-    z = _quad_nodes.__wrapped__()
-    assert np.array_equal(z, ndtri((np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES))
-    # scipy is imported before tracing starts, so the peak is the build's
-    probe = ("import tracemalloc, scipy.special, mg1tail.approx as a; "
-             "tracemalloc.start(); a._quad_nodes.__wrapped__(); "
-             "print(tracemalloc.get_traced_memory()[1])")
-    assert int(_fresh_python(probe)) <= _QUAD_NODES * 8 + 2**20
+# the node indices either side of the seams y = e^-2 and y = 1 - e^-2
+_SEAMS = [i for y in (_E2, 1.0 - _E2)
+          for i in range(int(y * _QUAD_NODES) - 3, int(y * _QUAD_NODES) + 4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(i=st.lists(st.one_of(st.integers(0, _QUAD_NODES - 1), st.sampled_from(_SEAMS)),
+                  min_size=1, max_size=40))
+@example(i=_SEAMS)
+@example(i=[0, _QUAD_NODES // 2, _QUAD_NODES - 1])
+def test_nodes_from_any_indices_have_scipy_bits(i):
+    got = _nodes(np.array(i, dtype=float), 1.0, 0.0, math.inf)[1]
+    want = ndtri((np.array(i) + 0.5) / _QUAD_NODES)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_every_node_has_scipy_bits_and_the_nodes_increase():
+    # t_tail_z's gap bound takes the nodes between two evaluated ones to lie
+    # between them; chunks overlap by one node
+    step = 1 << 16
+    for i in range(0, _QUAD_NODES - 1, step):
+        idx = np.arange(i, min(i + step + 1, _QUAD_NODES), dtype=float)
+        z = _nodes(idx, 1.0, 0.0, math.inf)[1]
+        assert np.array_equal(z.view(np.int64), ndtri((idx + 0.5) / _QUAD_NODES).view(np.int64))
+        assert (np.diff(z) > 0).all()
+
+
+@pytest.mark.parametrize("model, rho, x", [
+    (ParetoIntegratedTail(3.5), 0.8, 10.0),
+    (ParetoIntegratedTail(3.5), 0.95, 75.0),
+    (ExponentialIntegrated(1.0), 0.5, 3.0),
+    (ParetoIntegratedTail(3.5), 0.5, 1960.0),
+    (ParetoIntegratedTail(3.01), 0.9, 2000.0),
+])
+@pytest.mark.parametrize("estimate", ["random", "none"])
+def test_t_tail_z_exact_whatever_the_crossing_estimates(monkeypatch, model, rho, x, estimate):
+    rng = np.random.default_rng(5)
+    if estimate == "random":
+        guess = lambda k, a, c: rng.integers(-3, _QUAD_NODES + 3, k.size).astype(float)
+    else:
+        guess = lambda k, a, c: np.empty(0)
+    monkeypatch.setattr(approx, "_crossing_nodes", guess)
+    q = QueueModel(model=model, rho=rho)
+    assert t_tail_z(q, x) == _t_tail_z_per_node(q, x)
 
 
 def test_h_clt_decomposition():

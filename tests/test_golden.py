@@ -6,7 +6,11 @@ a grid of models, rho and x.
 
 The files under ``tests/golden/`` were recorded on x86-64 with Python 3.11 and
 numpy 2.4; other libm or numpy builds may differ in the last bits of a pow or
-exp.  Regenerate them only for an intended output change:
+exp, and so may numpy's own vector loops for log, exp and pow, which it picks
+per CPU at run time (its dispatch targets).  ``tests/golden/dispatch.json``
+records the numpy version and the active dispatch targets they were made with,
+and a mismatch names those and the running ones.  Regenerate them only for an
+intended output change:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -21,6 +25,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import mg1tail
 from mg1tail import (
@@ -287,43 +292,58 @@ def _load(name):
     return json.loads((GOLDEN / name).read_text())
 
 
+def dispatch():
+    """numpy's version and the dispatch targets active in this process (an
+    environment variable such as NPY_DISABLE_CPU_FEATURES can turn some off)."""
+    return {"numpy": np.__version__,
+            "targets": [t for t in __cpu_dispatch__ if __cpu_features__[t]]}
+
+
+def _recorded_and_running():
+    """The message of a golden mismatch: a changed dispatch target alone can
+    move the last bits of a pow, exp or log."""
+    return (f"goldens recorded with {_load('dispatch.json')}, running with "
+            f"{dispatch()}")
+
+
 def test_kernel_sums_match_golden():
-    assert kernel_sums() == _load("kernels.json")
+    assert kernel_sums() == _load("kernels.json"), _recorded_and_running()
 
 
 def test_estimates_match_golden():
-    assert estimates() == _load("estimates.json")
+    assert estimates() == _load("estimates.json"), _recorded_and_running()
 
 
 def test_ak_grid_matches_golden():
     want = _load("ak_grid.json")
-    assert ak_grid_estimates() == want
-    assert ak_grid_estimates(grid=True) == want
+    assert ak_grid_estimates() == want, _recorded_and_running()
+    assert ak_grid_estimates(grid=True) == want, _recorded_and_running()
 
 
 def test_t_tail_z_matches_golden():
-    assert t_tail_z_values() == _load("t_tail_z.json")
+    assert t_tail_z_values() == _load("t_tail_z.json"), _recorded_and_running()
 
 
 def test_scalars_match_golden():
     got, want = scalar_values(), _load("scalars.json")
-    assert got.keys() == want.keys()
-    assert [k for k in want if got[k] != want[k]] == []
+    assert got.keys() == want.keys(), _recorded_and_running()
+    assert [k for k in want if got[k] != want[k]] == [], _recorded_and_running()
 
 
 def test_compare_matches_golden(tmp_path):
-    assert compare_output(tmp_path) == _load("compare.json")
+    assert compare_output(tmp_path) == _load("compare.json"), _recorded_and_running()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_bytes_match_golden(name, fmt, tmp_path, capsys):
     got = sweep_bytes(name, fmt, tmp_path)
-    assert got == (GOLDEN / f"sweep-{name}.{fmt}").read_bytes()
+    assert got == (GOLDEN / f"sweep-{name}.{fmt}").read_bytes(), _recorded_and_running()
 
 
 def test_grid_sweep_bytes_match_golden(tmp_path):
-    assert grid_sweep_bytes(tmp_path) == (GOLDEN / "sweep-grid.csv").read_bytes()
+    want = (GOLDEN / "sweep-grid.csv").read_bytes()
+    assert grid_sweep_bytes(tmp_path) == want, _recorded_and_running()
 
 
 def _entries(data, fname):
@@ -356,3 +376,5 @@ if __name__ == "__main__":
         differ = sum(old.get(k) != new.get(k) for k in old.keys() | new.keys())
         print(f"{fname}: {differ} of {len(new)} entries differ from the file on disk")
         path.write_bytes(data)
+    (GOLDEN / "dispatch.json").write_text(json.dumps(dispatch(), indent=2) + "\n")
+    print(f"dispatch.json: {dispatch()}")
