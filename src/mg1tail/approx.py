@@ -273,28 +273,21 @@ def _one_exponent(w0, t0, w1, t1, c, dead):
             == np.minimum(np.floor(most * most) + 1.0, dead))
 
 
-def _histogram(expo, counts):
-    """The distinct exponents of the concatenated arrays and the count of each."""
-    expo, at = np.unique(np.concatenate(expo), return_inverse=True)
-    return expo, np.bincount(at, weights=np.concatenate(counts))
-
-
 def _tally(nodes, a, c, dead):
-    """The node count per capped exponent from the first of the evaluated
-    nodes (columns of _nodes, in increasing order) up to the last, not
-    included.  A gap between evaluated nodes is one run if no node lies
-    inside, if its ends have one w, or if _one_exponent proves it; else it is
-    split at its middle node and at the nodes next to its ends, as an end may
-    sit on a crossing."""
+    """The capped exponent of each run and its node count, in pairs of arrays,
+    from the first of the evaluated nodes (columns of _nodes, in increasing
+    order) up to the last, not included.  A gap between evaluated nodes is one
+    run if no node lies inside, if its ends have one w, or if _one_exponent
+    proves it; else it is split at its middle node and at the nodes next to
+    its ends, as an end may sit on a crossing."""
     left, right = nodes[:, :-1], nodes[:, 1:]
-    expo, counts = [np.empty(0)], [np.empty(0)]
+    runs = []
     while True:
         n = right[0] - left[0]
         one = (n <= 1.0) | (left[1] == right[1]) | _one_exponent(*left[1:3], *right[1:3], c, dead)
-        expo.append(left[3, one])
-        counts.append(n[one])
+        runs.append((left[3, one], n[one]))
         if one.all():
-            return _histogram(expo, counts)
+            return runs
         left, right, n = left[:, ~one], right[:, ~one], n[~one]
         inner = left[0, :, None] + np.stack((np.ones_like(n), np.floor(n / 2.0), n - 1.0), axis=1)
         inner = _nodes(inner.ravel(), a, c, dead).reshape(4, -1, 3)
@@ -373,10 +366,13 @@ def t_tail_z(q: QueueModel, x) -> float:
         i = np.unique(guide)
         i = i[(i > last[0, 0]) & (i < _QUAD_NODES - 1.0)]
         nodes = np.hstack((last, _nodes(i, a, c, dead)))
-        runs.append(_tally(nodes, a, c, dead))
+        runs += _tally(nodes, a, c, dead)
         last = nodes[:, -1:]
-    runs.append(_tally(np.hstack((last, ends[:, 1:])), a, c, dead))
-    expo, counts = _histogram(*zip(*runs))
+    runs += _tally(np.hstack((last, ends[:, 1:])), a, c, dead)
+    expo, counts = map(np.concatenate, zip(*runs))
+    del runs  # before np.unique's temporaries
+    expo, at = np.unique(expo, return_inverse=True)
+    counts = np.bincount(at, weights=counts)
     e = expo * math.log(rho)
     vals = np.exp(e)
     vals[e < -745.0] = 0.0

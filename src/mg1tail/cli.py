@@ -79,17 +79,13 @@ _METHODS = {
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
-def _fmt_meta(v) -> str:
     if v is None:
         return "none"
     if isinstance(v, bool):
         return str(v).lower()
-    return _fmt(v)
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
 
 
 def _require(args, *names):
@@ -126,7 +122,7 @@ def _print_estimate(est):
     print(f"n_samples {est.n_samples}")
     print(f"seed {est.seed}")
     print(f"method {est.method.value}")
-    print(f"converged {str(est.converged).lower()}")
+    print(f"converged {_fmt(est.converged)}")
 
 
 def cmd_approx(args) -> int:
@@ -151,7 +147,7 @@ def cmd_threshold(args) -> int:
         rt = threshold_rho(q.model, args.x, c=args.c)
         rep = regime_classify(q, args.x)
         print(f"rho_threshold {_fmt(rt.value)}")
-        print(f"rho_threshold_in_range {str(rt.in_range).lower()}")
+        print(f"rho_threshold_in_range {_fmt(rt.in_range)}")
         print(f"c_value {_fmt(rep.c_value)}")
         print(f"regime {rep.regime.value}")
     return 0
@@ -195,12 +191,12 @@ def _write_table(path: str, fmt: str, meta: dict, rows: list) -> None:
     else:
         buf = io.StringIO()
         for k, v in meta.items():
-            buf.write(f"# {k} = {_fmt_meta(v)}\n")
+            buf.write(f"# {k} = {_fmt(v)}\n")
         writer = csv.writer(buf, lineterminator="\n")
         if rows:
             writer.writerow(list(rows[0].keys()))
             for row in rows:
-                writer.writerow([_fmt_meta(v) for v in row.values()])
+                writer.writerow([_fmt(v) for v in row.values()])
         text = buf.getvalue()
     with open(path, "w", newline="") as f:
         f.write(text)
@@ -258,7 +254,7 @@ def cmd_compare(args) -> int:
     print(f"x {_fmt(x)}")
     print(
         f"mc_estimate {_fmt(est.estimate)}  rel_err {_fmt(est.rel_err)}  "
-        f"n_samples {est.n_samples}  converged {str(est.converged).lower()}"
+        f"n_samples {est.n_samples}  converged {_fmt(est.converged)}"
     )
     print(f"{'method':<16}{'value':>24}{'ratio_to_mc':>16}")
     for name, value in entries:

@@ -136,8 +136,7 @@ class ExponentialIntegrated(IntegratedTailModel):
 
     def quantile(self, u, out=None):
         out = np.log1p(np.negative(u, out=out), out=out)
-        np.negative(out, out=out)
-        return np.divide(out, self.rate, out=out)
+        return np.divide(out, -self.rate, out=out)
 
     def tail(self, t):
         return np.exp(-self.rate * t)

@@ -13,7 +13,8 @@ Kernel contract per replication ``rep``:
   N * [ P(X > max(M, x-S)) + 1{S+M > x} * P(X = M)/(T+1) ]
   with M, S, T the max, sum, and max-multiplicity of the first N-1 draws;
   the atom term is exactly zero for atomless models, so only lattice models
-  compute it.
+  compute it.  A replication with N = 0 needs no mask: it has S = M = 0 and
+  a finite tail, so both terms are +0.0.
 
 Column order: the replications of a batch are sorted by draw count, largest
 first, so column j -- draw j+1 of every replication with more than j draws --
@@ -77,7 +78,7 @@ def _buffers():
 def _counts(rho, seed, rep0, nreps, n_offset):
     reps = (np.uint64(rep0) + np.arange(nreps, dtype=np.uint64))
     states = rng.substream_states_np(int(seed), reps)
-    u0 = rng.uniforms_np(states, np.zeros(nreps, dtype=np.uint64))
+    u0 = rng.uniforms_inplace(states + rng.GOLD_U64, np.empty_like(states))  # draw 0
     n = np.floor(np.log(u0) / math.log(rho)).astype(np.int64) + n_offset
     return states, n
 
@@ -171,9 +172,9 @@ def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0, size=None):
         sums = []
         for xi in (x if grid else [x]):
             t = np.maximum(mr, xi - sr)
-            v = np.where(nr >= 1, nr * model.tail(t), 0.0)
+            v = nr * model.tail(t)
             if lattice:
-                v = v + np.where((nr >= 1) & (sr + mr > xi), extra[r], 0.0)
+                v = v + np.where(sr + mr > xi, extra[r], 0.0)
             sums.append((float(v.sum()), float((v * v).sum())))
         runs.append(sums if grid else sums[0])
     return runs[0] if size is None else runs

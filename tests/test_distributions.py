@@ -380,3 +380,19 @@ def test_scalar_methods_equal_type_dispatch_reference(model, xs, us, vs):
         assert _outcome(sample_x, model, u) == want
     for v in vs:
         assert _outcome(model.atom_prob, v) == _outcome(ref_atom_prob, model, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=scalar_models, ts=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=20))
+@example(model=ParetoIntegratedTail(2.5), ts=[0.0, 1.0, 1e300])
+@example(model=ExponentialIntegrated(0.01), ts=[0.0, 1e300])
+# no mass at 0, and masses that sum to 1 + 2^-52 in floating point
+@example(model=_lattice(1.0, [0.0, 0.01, 0.02, 0.3]), ts=[0.0])
+def test_vector_tail_is_a_probability(model, ts):
+    # the kernels multiply a count N = 0 by the tail unmasked: N * tail is
+    # +0.0 only where the tail is finite.  A lattice's tail is at most its
+    # mass sum, which lies within 1e-12 of 1 (checked when it is built)
+    grid = list(model.support) if isinstance(model, Lattice) else []
+    top = max(1.0, model.suffix[0]) if isinstance(model, Lattice) else 1.0
+    p = model.tail(np.array(grid + ts))
+    assert np.all((p >= 0.0) & (p <= top)), p

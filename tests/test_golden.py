@@ -9,18 +9,30 @@ numpy 2.4; other libm or numpy builds may differ in the last bits of a pow or
 exp, and so may numpy's own vector loops for log, exp and pow, which it picks
 per CPU at run time (its dispatch targets).  ``tests/golden/dispatch.json``
 records the numpy version and the active dispatch targets they were made with,
-and a mismatch names those and the running ones.  Regenerate them only for an
-intended output change:
+and a mismatch names those and the running ones.  The 8 goldens whose bits
+move with the dispatch targets have a second copy, with its own dispatch
+record, in ``tests/golden/no-avx512/``: their bits with numpy's AVX-512 loops
+turned off, which one test checks in a subprocess.  Regenerate the goldens,
+and then their second copy, only for an intended output change:
 
     PYTHONPATH=src python3 tests/test_golden.py
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \
+        PYTHONPATH=src python3 tests/test_golden.py
+
+With ``--check`` the script writes nothing: it compares the goldens of its
+dispatch with what it computes, and exits 1 naming the files that differ.
 """
 
 import contextlib
 import dataclasses
 import enum
+import functools
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -45,6 +57,12 @@ from mg1tail import kernels
 from mg1tail.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# the goldens whose bits move with numpy's dispatch targets, and the
+# environment and directory of their second copy
+DISPATCH_DEPENDENT = ("kernels.json", "estimates.json", "ak_grid.json", "scalars.json",
+                      "compare.json", "sweep-exp.csv", "sweep-exp.json", "sweep-grid.csv")
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+GOLDEN_NO_AVX512 = GOLDEN / "no-avx512"
 
 MODELS = {
     "pareto": ParetoIntegratedTail(alpha=3.5),
@@ -288,8 +306,8 @@ def grid_sweep_bytes(directory):
     return path.read_bytes()
 
 
-def _load(name):
-    return json.loads((GOLDEN / name).read_text())
+def _load(name, directory=GOLDEN):
+    return json.loads((directory / name).read_text())
 
 
 def dispatch():
@@ -299,10 +317,10 @@ def dispatch():
             "targets": [t for t in __cpu_dispatch__ if __cpu_features__[t]]}
 
 
-def _recorded_and_running():
+def _recorded_and_running(directory=GOLDEN):
     """The message of a golden mismatch: a changed dispatch target alone can
     move the last bits of a pow, exp or log."""
-    return (f"goldens recorded with {_load('dispatch.json')}, running with "
+    return (f"goldens recorded with {_load('dispatch.json', directory)}, running with "
             f"{dispatch()}")
 
 
@@ -346,6 +364,16 @@ def test_grid_sweep_bytes_match_golden(tmp_path):
     assert grid_sweep_bytes(tmp_path) == want, _recorded_and_running()
 
 
+def test_dispatch_dependent_goldens_match_without_avx512():
+    # numpy fixes its dispatch targets at import, so the second copy is
+    # checked in a fresh interpreter
+    src = str(pathlib.Path(mg1tail.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, __file__, "--check"], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def _entries(data, fname):
     """The entries of a golden file: the top-level items of a JSON object, else
     the lines of a sweep table."""
@@ -354,27 +382,55 @@ def _entries(data, fname):
     return json.loads(data or b"{}")
 
 
+def _json(data):
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+
+
+def golden_files(names, directory):
+    """The bytes of the named golden files (all with names None) as this
+    process makes them; the CLI writes its tables and the lattice file to
+    ``directory``."""
+    makers = {
+        "kernels.json": lambda: _json(kernel_sums()),
+        "estimates.json": lambda: _json(estimates()),
+        "ak_grid.json": lambda: _json(ak_grid_estimates()),
+        "t_tail_z.json": lambda: _json(t_tail_z_values()),
+        "scalars.json": lambda: _json(scalar_values()),
+        "compare.json": lambda: _json(compare_output(directory)),
+        **{f"sweep-{name}.{fmt}": functools.partial(sweep_bytes, name, fmt, directory)
+           for name in SWEEPS for fmt in ("csv", "json")},
+        "sweep-grid.csv": lambda: grid_sweep_bytes(directory),
+    }
+    return {name: make() for name, make in makers.items() if names is None or name in names}
+
+
 if __name__ == "__main__":
-    files = {fname: (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
-             for fname, data in (("kernels.json", kernel_sums()),
-                                 ("estimates.json", estimates()),
-                                 ("ak_grid.json", ak_grid_estimates()),
-                                 ("t_tail_z.json", t_tail_z_values()),
-                                 ("scalars.json", scalar_values()))}
+    disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES")
+    if disabled == NO_AVX512:
+        golden, names = GOLDEN_NO_AVX512, DISPATCH_DEPENDENT
+    elif disabled is None:
+        golden, names = GOLDEN, None
+    else:
+        sys.exit(f"goldens are kept for NPY_DISABLE_CPU_FEATURES unset or "
+                 f"{NO_AVX512!r}, not {disabled!r}")
     with tempfile.TemporaryDirectory() as tmp:
-        files["compare.json"] = (
-            json.dumps(compare_output(tmp), indent=2, sort_keys=True) + "\n").encode()
-        for name in SWEEPS:
-            for fmt in ("csv", "json"):
-                files[f"sweep-{name}.{fmt}"] = sweep_bytes(name, fmt, tmp)
-        files["sweep-grid.csv"] = grid_sweep_bytes(tmp)
-    GOLDEN.mkdir(exist_ok=True)
+        files = golden_files(names, tmp)
+    if "--check" in sys.argv[1:]:
+        made = list(files.items())
+        if "ak_grid.json" in files:  # the grid estimator pins the same file
+            made.append(("ak_grid.json", _json(ak_grid_estimates(grid=True))))
+        differ = sorted({name for name, data in made if data != (golden / name).read_bytes()})
+        if differ:
+            sys.exit(f"{golden}: {differ} differ; {_recorded_and_running(golden)}")
+        print(f"{golden}: {len(files)} goldens match")
+        sys.exit(0)
+    golden.mkdir(exist_ok=True)
     for fname, data in files.items():
-        path = GOLDEN / fname
+        path = golden / fname
         old = _entries(path.read_bytes() if path.exists() else b"", fname)
         new = _entries(data, fname)
         differ = sum(old.get(k) != new.get(k) for k in old.keys() | new.keys())
         print(f"{fname}: {differ} of {len(new)} entries differ from the file on disk")
         path.write_bytes(data)
-    (GOLDEN / "dispatch.json").write_text(json.dumps(dispatch(), indent=2) + "\n")
+    (golden / "dispatch.json").write_text(json.dumps(dispatch(), indent=2) + "\n")
     print(f"dispatch.json: {dispatch()}")

@@ -115,6 +115,18 @@ def test_count_offset_shifts_geometric_count():
     assert hits1 == 20_000
 
 
+@pytest.mark.parametrize("model", MODELS, ids=["pareto", "exp", "lattice"])
+def test_replications_with_at_most_one_jump_sum_to_plus_zero(model):
+    # every draw-0 uniform is at least 2^-54 > rho, so N = n_offset; the
+    # per-x step multiplies N = 0 by the tail unmasked, and at x = 1e300
+    # every model's tail is 0
+    rho = 2.0**-60
+    for n_offset, xs in ((0, [0.0, 3.25, 1e300]), (1, [1e300])):
+        assert kernels._counts(rho, 7, 0, 5_000, n_offset)[1].max() <= 1
+        sums = kernels.ak_batch(model, rho, xs, 7, 0, 5_000, n_offset)
+        assert [(s.hex(), q.hex()) for s, q in sums] == [("0x0.0p+0",) * 2] * len(xs)
+
+
 # lattices with several points of positive mass, so the maxima tie often
 random_lattices = st.builds(
     lambda h, w: Lattice(h=h, mass=np.array(w, dtype=float) / sum(w)),
