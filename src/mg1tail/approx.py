@@ -147,9 +147,9 @@ def _sigma(q: QueueModel) -> float:
 
 def t_tail_grid(q: QueueModel, xs) -> list[float]:
     """T(rho, x) at each x of xs: the series to the smallest N with rho^{N+1} < 1e-12
-    (each later term is at most (1-rho) rho^n), built in (n, x) blocks, and each
-    x's terms added in order by a compensated sum (Higham 2002, sec. 4.3): per x
-    in a Python loop on grids shorter than _GRID_MIN, else once per n for all x."""
+    (each later term is at most (1-rho) rho^n), its terms built once per (n, x) block,
+    then each x's terms added in order by a compensated sum (Higham 2002, sec. 4.3):
+    per x in a Python loop on grids shorter than _GRID_MIN, else once per n for all x."""
     for x in xs:
         check_nonnegative("x", x)
     sigma = _sigma(q)
@@ -165,15 +165,18 @@ def t_tail_grid(q: QueueModel, xs) -> list[float]:
         # no warnings: z is +-inf on overflow or for a one-point law, NaN there at x = n mu
         with np.errstate(all="ignore"):
             z = (x - n * mu) / (sigma * np.sqrt(n)) / math.sqrt(2.0)
-        # libm's erfc is exactly 2 at z <= -6; at z >= 27 it is below 5.3e-319,
-        # so the term falls under _TERM_FLOOR, as it does at NaN
+        weights = np.cumprod(np.concatenate(([weight], np.full(n.size - 1, rho))))
+        weight = weights[-1] * rho
+        # libm's erfc is exactly 2 at z <= -6, so its half is 1; at z >= 27 it is
+        # below 5.3e-319, so the term falls under _TERM_FLOOR, as it does at NaN
+        terms = np.where(z <= -6.0, 1.0, 0.0)
+        live = (z > -6.0) & (z < 27.0)
+        terms[live] = 0.5 * np.fromiter(map(math.erfc, z[live].tolist()), float)
+        terms *= weights[:, None]
         if x.size < _GRID_MIN:
-            first = weight
-            for j, zs in enumerate(z.T.tolist()):
-                s, c, weight = float(total[j]), float(comp[j]), first
-                for v in zs:
-                    term = weight if v <= -6.0 else weight * (0.5 * math.erfc(v))
-                    weight *= rho
+            for j in range(x.size):
+                s, c = float(total[j]), float(comp[j])
+                for term in terms[:, j].tolist():
                     if term >= _TERM_FLOOR:
                         y = term - c
                         t = s + y
@@ -181,12 +184,6 @@ def t_tail_grid(q: QueueModel, xs) -> list[float]:
                         s = t
                 total[j], comp[j] = s, c
             continue
-        weights = np.cumprod(np.concatenate(([weight], np.full(n.size - 1, rho))))
-        weight = weights[-1] * rho
-        e = np.where(z <= -6.0, 2.0, 0.0)
-        live = (z > -6.0) & (z < 27.0)
-        e[live] = np.fromiter(map(math.erfc, z[live].tolist()), float)
-        terms = weights[:, None] * (0.5 * e)
         # a skipped term leaves its x's total and compensation as they are
         for term, keep in zip(terms, terms >= _TERM_FLOOR):
             np.subtract(term, comp, out=ys)

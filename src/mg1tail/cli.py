@@ -18,8 +18,9 @@ take a seed when --seed is absent.  An optional ``--config PATH`` file of
 flag names with dashes or underscores; keys of other subcommands are
 ignored).  Each line is parsed as ``--key=value``, or for a switch as the
 bare flag (true/yes/on) or nothing (false/no/off), so a value is taken
-exactly when the flag takes it.  Explicit flags win over the file, the file
-over MG1_SEED and built-in defaults.
+exactly when the flag takes it.  The file's flags are read as if typed right
+after the subcommand, so explicit flags win over the file, the file over
+MG1_SEED and built-in defaults.
 
 CSV sweeps open with ``# key = value`` metadata comment lines followed by a
 header row; floats carry 17 significant digits so parsing reproduces the
@@ -394,8 +395,9 @@ def _config_argv(cfg: dict, sp) -> list:
 
 
 def _parse_args(parser, commands: dict, argv: list):
-    """argv parsed, a --config file's values first set as the subcommand's
-    defaults by parsing them as its command line."""
+    """argv parsed; with a --config file, parsed again with the file's values
+    spliced in as flags right after the command, so that each flag of argv
+    comes later and wins (argparse keeps a flag's last value)."""
     args = parser.parse_args(argv)
     if args.config is None:
         return args
@@ -404,11 +406,7 @@ def _parse_args(parser, commands: dict, argv: list):
     unknown = set(cfg) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    sp = commands[args.command]
-    # parsed onto args, so an absent --seed does not convert MG1_SEED again
-    given = vars(sp.parse_args(_config_argv(cfg, sp), args))
-    sp.set_defaults(**{a.dest: given[a.dest] for a in sp._actions if a.dest in cfg})
-    return parser.parse_args(argv)
+    return parser.parse_args([argv[0], *_config_argv(cfg, commands[args.command]), *argv[1:]])
 
 
 def main(argv=None) -> int:

@@ -159,8 +159,9 @@ class Lattice(IntegratedTailModel):
         self.h = float(h)
         self.mass = m.copy()
         self.mass.setflags(write=False)
-        # suffix[j] = P(X >= j*h); one extra 0 so suffix[len] is valid
-        self.suffix = np.concatenate([np.cumsum(m[::-1])[::-1], [0.0]])
+        # suffix[j] = P(X >= j*h); one extra 0 so suffix[len] is valid.  Clipped
+        # at 1, as the masses sum to 1 only within 1e-12: tail <= 1, cum >= 0
+        self.suffix = np.minimum(np.concatenate([np.cumsum(m[::-1])[::-1], [0.0]]), 1.0)
         self.suffix.setflags(write=False)
         self.cum = 1.0 - self.suffix[1:]  # cum[j] = P(X <= j*h)
         self.cum.setflags(write=False)

@@ -365,6 +365,22 @@ def test_config_sweep_bytes_equal_flags(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_config_flags_between_environment_and_command_line(tmp_path, capsys, monkeypatch):
+    # the file's flags are read right after the command: flags typed after
+    # them win, abbreviated ones too, and they win over MG1_SEED
+    monkeypatch.setenv("MG1_SEED", "5")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_SWEEP_CFG + "seed = 9\nrel_err = 0.2\n")
+    out = tmp_path / "table.csv"
+    for extra, seed, rel_err in (([], "9", "0.20000000000000001"),
+                                 (["--seed", "3"], "3", "0.20000000000000001"),
+                                 (["--rel", "0.5"], "9", "0.5")):
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), *extra]) == 0
+        meta = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert f"# seed = {seed}" in meta and f"# rel_err = {rel_err}" in meta
+    assert capsys.readouterr().out == ""
+
+
 def test_bad_seed_environment(capsys, monkeypatch):
     monkeypatch.setenv("MG1_SEED", "abc")
     model = ["--dist", "pareto-it:alpha=3.5", "--rho", "0.8"]

@@ -390,9 +390,16 @@ def test_scalar_methods_equal_type_dispatch_reference(model, xs, us, vs):
 @example(model=_lattice(1.0, [0.0, 0.01, 0.02, 0.3]), ts=[0.0])
 def test_vector_tail_is_a_probability(model, ts):
     # the kernels multiply a count N = 0 by the tail unmasked: N * tail is
-    # +0.0 only where the tail is finite.  A lattice's tail is at most its
-    # mass sum, which lies within 1e-12 of 1 (checked when it is built)
+    # +0.0 only where the tail is finite
     grid = list(model.support) if isinstance(model, Lattice) else []
-    top = max(1.0, model.suffix[0]) if isinstance(model, Lattice) else 1.0
     p = model.tail(np.array(grid + ts))
-    assert np.all((p >= 0.0) & (p <= top)), p
+    assert np.all((p >= 0.0) & (p <= 1.0)), p
+
+
+def test_lattice_tail_clipped_at_one():
+    # the masses, added from the top, sum to 1 + 2^-52, which tail and cum do not show
+    lat = _lattice(1.0, [0.0, 0.01, 0.02, 0.3])
+    assert np.cumsum(lat.mass[::-1])[-1].hex() == "0x1.0000000000001p+0"
+    assert lat.tail_prob(0.0).hex() == "0x1.0000000000000p+0"
+    assert lat.cum[0] == 0.0 and np.all(lat.cum >= 0.0)
+    assert lat.cum[-1] == 1.0

@@ -8,19 +8,23 @@ The files under ``tests/golden/`` were recorded on x86-64 with Python 3.11 and
 numpy 2.4; other libm or numpy builds may differ in the last bits of a pow or
 exp, and so may numpy's own vector loops for log, exp and pow, which it picks
 per CPU at run time (its dispatch targets).  ``tests/golden/dispatch.json``
-records the numpy version and the active dispatch targets they were made with,
-and a mismatch names those and the running ones.  The 8 goldens whose bits
-move with the dispatch targets have a second copy, with its own dispatch
-record, in ``tests/golden/no-avx512/``: their bits with numpy's AVX-512 loops
-turned off, which one test checks in a subprocess.  Regenerate the goldens,
-and then their second copy, only for an intended output change:
+records the numpy version and the active dispatch targets they were made with.
+The 8 goldens whose bits move with the dispatch targets have a second copy,
+with its own dispatch record, in ``tests/golden/no-avx512/``: their bits with
+numpy's AVX-512 loops turned off, which one test checks in a subprocess.
+
+Every golden file of both copies is checked one way, by ``changed_entries``:
+the bytes this process makes must equal the file's, and a mismatch names the
+file, its first changed entries (JSON keys, or the lines of a sweep table) and
+the recorded and running dispatch.  Regenerate the goldens, and then their
+second copy, only for an intended output change:
 
     PYTHONPATH=src python3 tests/test_golden.py
     NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \
         PYTHONPATH=src python3 tests/test_golden.py
 
-With ``--check`` the script writes nothing: it compares the goldens of its
-dispatch with what it computes, and exits 1 naming the files that differ.
+With ``--check`` the script writes nothing: it checks the goldens of its
+dispatch, and exits 1 with the message of each file that differs.
 """
 
 import contextlib
@@ -70,11 +74,18 @@ MODELS = {
     "lattice": Lattice(h=0.5, mass=[0.0, 0.25, 0.5, 0.25]),
 }
 
+# the arguments of each golden sweep: simulated 4-point tables, and one long
+# enough that its h_clt column is built over the whole grid at once, at
+# rho=0.99, where most normal tails saturate at 1 or underflow
+SIMULATED = ["--rho", "0.8", "--x-min", "1", "--points", "4", "--log-grid", "--simulate",
+             "--rel-err", "0.1", "--seed", "42"]
 SWEEPS = {
-    "pareto": ["--dist", "pareto-it:alpha=3.5", "--rho", "0.8",
-               "--x-min", "1", "--x-max", "40"],
-    "exp": ["--dist", "exp:rate=1", "--rho", "0.8",
-            "--x-min", "1", "--x-max", "20"],
+    **{f"sweep-{name}.{fmt}": [*model, *SIMULATED, "--format", fmt]
+       for name, model in (("pareto", ["--dist", "pareto-it:alpha=3.5", "--x-max", "40"]),
+                           ("exp", ["--dist", "exp:rate=1", "--x-max", "20"]))
+       for fmt in ("csv", "json")},
+    "sweep-grid.csv": ["--dist", "pareto-it:alpha=3.5", "--rho", "0.99", "--x-min", "1",
+                       "--x-max", "4600", "--points", "64", "--log-grid"],
 }
 
 
@@ -285,29 +296,10 @@ def compare_output(directory):
     }
 
 
-def sweep_bytes(name, fmt, directory):
-    path = pathlib.Path(directory) / f"sweep-{name}.{fmt}"
-    code = main(["sweep", *SWEEPS[name], "--points", "4", "--log-grid",
-                 "--simulate", "--rel-err", "0.1", "--seed", "42",
-                 "--format", fmt, "--out", str(path)])
-    assert code == 0
+def sweep_bytes(fname, directory):
+    path = pathlib.Path(directory) / fname
+    assert main(["sweep", *SWEEPS[fname], "--out", str(path)]) == 0
     return path.read_bytes()
-
-
-# long enough that the sweep's h_clt column is built over the whole grid at
-# once, and at rho=0.99, where most normal tails saturate at 1 or underflow
-GRID_SWEEP = ["--dist", "pareto-it:alpha=3.5", "--rho", "0.99", "--x-min", "1",
-              "--x-max", "4600", "--points", "64", "--log-grid"]
-
-
-def grid_sweep_bytes(directory):
-    path = pathlib.Path(directory) / "sweep-grid.csv"
-    assert main(["sweep", *GRID_SWEEP, "--out", str(path)]) == 0
-    return path.read_bytes()
-
-
-def _load(name, directory=GOLDEN):
-    return json.loads((directory / name).read_text())
 
 
 def dispatch():
@@ -317,51 +309,63 @@ def dispatch():
             "targets": [t for t in __cpu_dispatch__ if __cpu_features__[t]]}
 
 
-def _recorded_and_running(directory=GOLDEN):
-    """The message of a golden mismatch: a changed dispatch target alone can
-    move the last bits of a pow, exp or log."""
-    return (f"goldens recorded with {_load('dispatch.json', directory)}, running with "
-            f"{dispatch()}")
+def _json(data):
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
 
-def test_kernel_sums_match_golden():
-    assert kernel_sums() == _load("kernels.json"), _recorded_and_running()
+def makers(directory):
+    """Per golden file, what makes its bytes in this process: ak_grid.json is made
+    by the per-x and by the grid estimator, and written by the first.  The CLI
+    writes its tables and the lattice file to ``directory``."""
+    return {
+        "kernels.json": [lambda: _json(kernel_sums())],
+        "estimates.json": [lambda: _json(estimates())],
+        "ak_grid.json": [lambda: _json(ak_grid_estimates()),
+                         lambda: _json(ak_grid_estimates(grid=True))],
+        "t_tail_z.json": [lambda: _json(t_tail_z_values())],
+        "scalars.json": [lambda: _json(scalar_values())],
+        "compare.json": [lambda: _json(compare_output(directory))],
+        **{fname: [functools.partial(sweep_bytes, fname, directory)] for fname in SWEEPS},
+    }
 
 
-def test_estimates_match_golden():
-    assert estimates() == _load("estimates.json"), _recorded_and_running()
+GOLDEN_FILES = tuple(makers(None))
 
 
-def test_ak_grid_matches_golden():
-    want = _load("ak_grid.json")
-    assert ak_grid_estimates() == want, _recorded_and_running()
-    assert ak_grid_estimates(grid=True) == want, _recorded_and_running()
+def _entries(data, fname):
+    """The entries of a golden file: the top-level items of a JSON object, else
+    the lines of a sweep table, by line number from 1."""
+    if fname.startswith("sweep-"):
+        return {f"line {i}": v for i, v in enumerate(data.splitlines(), start=1)}
+    return json.loads(data or b"{}")
 
 
-def test_t_tail_z_matches_golden():
-    assert t_tail_z_values() == _load("t_tail_z.json"), _recorded_and_running()
+def changed_entries(fname, data, directory=GOLDEN):
+    """The entries of the golden file fname in directory that the bytes data
+    change, add or drop, in file order; none exactly when the bytes are equal
+    (["bytes"] where they differ outside every entry)."""
+    path = directory / fname
+    want = path.read_bytes() if path.exists() else b""
+    if data == want:
+        return []
+    old, new = _entries(want, fname), _entries(data, fname)
+    return [k for k in {**old, **new} if old.get(k) != new.get(k)] or ["bytes"]
 
 
-def test_scalars_match_golden():
-    got, want = scalar_values(), _load("scalars.json")
-    assert got.keys() == want.keys(), _recorded_and_running()
-    assert [k for k in want if got[k] != want[k]] == [], _recorded_and_running()
+def mismatch(fname, changed, directory=GOLDEN):
+    """The message of a golden mismatch: the file, its first changed entries,
+    and the dispatch it was recorded with and this process's, as a changed
+    dispatch target alone can move the last bits of a pow, exp or log."""
+    return (f"{directory / fname}: {len(changed)} entries differ, first {changed[:5]}; "
+            f"goldens recorded with {json.loads((directory / 'dispatch.json').read_text())}, "
+            f"running with {dispatch()}")
 
 
-def test_compare_matches_golden(tmp_path):
-    assert compare_output(tmp_path) == _load("compare.json"), _recorded_and_running()
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_bytes_match_golden(name, fmt, tmp_path, capsys):
-    got = sweep_bytes(name, fmt, tmp_path)
-    assert got == (GOLDEN / f"sweep-{name}.{fmt}").read_bytes(), _recorded_and_running()
-
-
-def test_grid_sweep_bytes_match_golden(tmp_path):
-    want = (GOLDEN / "sweep-grid.csv").read_bytes()
-    assert grid_sweep_bytes(tmp_path) == want, _recorded_and_running()
+@pytest.mark.parametrize("fname", GOLDEN_FILES)
+def test_golden_bytes(fname, tmp_path):
+    for make in makers(tmp_path)[fname]:
+        changed = changed_entries(fname, make())
+        assert not changed, mismatch(fname, changed)
 
 
 def test_dispatch_dependent_goldens_match_without_avx512():
@@ -374,34 +378,15 @@ def test_dispatch_dependent_goldens_match_without_avx512():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def _entries(data, fname):
-    """The entries of a golden file: the top-level items of a JSON object, else
-    the lines of a sweep table."""
-    if fname.startswith("sweep-"):
-        return dict(enumerate(data.splitlines()))
-    return json.loads(data or b"{}")
-
-
-def _json(data):
-    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
-
-
-def golden_files(names, directory):
-    """The bytes of the named golden files (all with names None) as this
-    process makes them; the CLI writes its tables and the lattice file to
-    ``directory``."""
-    makers = {
-        "kernels.json": lambda: _json(kernel_sums()),
-        "estimates.json": lambda: _json(estimates()),
-        "ak_grid.json": lambda: _json(ak_grid_estimates()),
-        "t_tail_z.json": lambda: _json(t_tail_z_values()),
-        "scalars.json": lambda: _json(scalar_values()),
-        "compare.json": lambda: _json(compare_output(directory)),
-        **{f"sweep-{name}.{fmt}": functools.partial(sweep_bytes, name, fmt, directory)
-           for name in SWEEPS for fmt in ("csv", "json")},
-        "sweep-grid.csv": lambda: grid_sweep_bytes(directory),
-    }
-    return {name: make() for name, make in makers.items() if names is None or name in names}
+def test_changed_entries_names_the_one_changed_entry(tmp_path):
+    golden = {"a": "0x1.0p+0", "b": ["x", 1], "c": True}
+    (tmp_path / "t.json").write_bytes(_json(golden))
+    assert changed_entries("t.json", _json(golden), tmp_path) == []
+    assert changed_entries("t.json", _json({**golden, "b": ["x", 2]}), tmp_path) == ["b"]
+    table = b"# seed = 1\nx,h\n1,0.5\n2,0.25\n"
+    (tmp_path / "sweep-t.csv").write_bytes(table)
+    altered = table.replace(b"2,0.25", b"2,0.26")
+    assert changed_entries("sweep-t.csv", altered, tmp_path) == ["line 4"]
 
 
 if __name__ == "__main__":
@@ -409,28 +394,24 @@ if __name__ == "__main__":
     if disabled == NO_AVX512:
         golden, names = GOLDEN_NO_AVX512, DISPATCH_DEPENDENT
     elif disabled is None:
-        golden, names = GOLDEN, None
+        golden, names = GOLDEN, GOLDEN_FILES
     else:
         sys.exit(f"goldens are kept for NPY_DISABLE_CPU_FEATURES unset or "
                  f"{NO_AVX512!r}, not {disabled!r}")
     with tempfile.TemporaryDirectory() as tmp:
-        files = golden_files(names, tmp)
+        made = {fname: [make() for make in makers(tmp)[fname]] for fname in names}
     if "--check" in sys.argv[1:]:
-        made = list(files.items())
-        if "ak_grid.json" in files:  # the grid estimator pins the same file
-            made.append(("ak_grid.json", _json(ak_grid_estimates(grid=True))))
-        differ = sorted({name for name, data in made if data != (golden / name).read_bytes()})
+        differ = [mismatch(fname, changed, golden) for fname, datas in made.items()
+                  for data in datas if (changed := changed_entries(fname, data, golden))]
         if differ:
-            sys.exit(f"{golden}: {differ} differ; {_recorded_and_running(golden)}")
-        print(f"{golden}: {len(files)} goldens match")
+            sys.exit("\n".join(differ))
+        print(f"{golden}: {len(made)} goldens match")
         sys.exit(0)
     golden.mkdir(exist_ok=True)
-    for fname, data in files.items():
-        path = golden / fname
-        old = _entries(path.read_bytes() if path.exists() else b"", fname)
-        new = _entries(data, fname)
-        differ = sum(old.get(k) != new.get(k) for k in old.keys() | new.keys())
-        print(f"{fname}: {differ} of {len(new)} entries differ from the file on disk")
-        path.write_bytes(data)
+    for fname, (data, *_) in made.items():
+        changed = changed_entries(fname, data, golden)
+        print(f"{fname}: {len(changed)} of {len(_entries(data, fname))} entries differ "
+              f"from the file on disk")
+        (golden / fname).write_bytes(data)
     (golden / "dispatch.json").write_text(json.dumps(dispatch(), indent=2) + "\n")
     print(f"dispatch.json: {dispatch()}")
