@@ -15,8 +15,8 @@ integrated-tail law X has mean mu and tail F̄.  The approximations here:
   T(rho,x) = sum_{n>=1} (1-rho) rho^n (1 - Phi((x-n mu)/(sigma sqrt(n))))
   replacing rho^{x/mu}, summed over a whole x-grid at once by t_tail_grid;
   t_tail_z evaluates the same quantity as a normal expectation
-  E[rho^{floor(t(Z)^2)+1}] by deterministic quadrature, its node values
-  summed exactly and rounded once;
+  E[rho^{floor(t(Z)^2)+1}] by the midpoint rule, its nodes counted per
+  exponent in closed form and their values summed exactly;
 * subexp_sum_approx:  the n-fold convolution surrogate n F̄(x-(n-1)mu).
 """
 
@@ -28,7 +28,6 @@ import numpy as np
 
 from .distributions import IntegratedTailModel, QueueModel, tail_prob
 from .errors import UnsupportedModelError, check_finite, check_nonnegative
-from .kernels import keep_heap
 
 # terms below this magnitude are skipped so summation order quirks at the
 # subnormal boundary cannot leak into results
@@ -200,180 +199,75 @@ def t_tail(q: QueueModel, x) -> float:
     return t_tail_grid(q, [x])[0]
 
 
-# midpoint rule in the probability domain: u_i = (i+0.5)/K, z_i = Phi^{-1}(u_i);
-# the outermost nodes sit at |z| = 5.03
+# midpoint rule in the probability domain: u_i = (i+0.5)/K, z_i = Phi^{-1}(u_i)
 _QUAD_NODES = 2_000_001
-# crossings per chunk of the nodes t_tail_z evaluates first, which bounds its memory
-_GUIDE_CROSSINGS = 1 << 13
-
-# Cephes ndtri (Moshier 1989), which scipy.special.ndtri runs: a rational in
-# y - 1/2 for y in (e^-2, 1 - e^-2], else one in 1/x, x = sqrt(-2 log y) for
-# the nearer tail y, whose form for x < 8 (y > e^-32) alone is ported, as every
-# node has x < 5.52.  np.polyval is Horner's rule, Cephes' polevl, bit for bit;
-# the Q tables carry the leading 1 that Cephes' p1evl leaves out
-_E2, _S2PI = 0.13533528323661269189, 2.50662827463100050242  # e^-2, sqrt(2 pi)
-_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-       1.39312609387279679503E1, -1.23916583867381258016E0)
-_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-       1.59056225126211695515E1, -1.18331621121330003142E0)
-_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
-_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# z_0 and z_{K-1}, Phi^{-1}(0.5/K) and Phi^{-1}((K-0.5)/K) as scipy.special.ndtri rounds them
+_Z_ENDS = (-5.026312931989857, 5.026312931971614)
+# crossings per chunk of t_tail_z's node counts, which bounds its memory
+_CROSSINGS = 1 << 13
 
 
-def _log(x):
-    """log of each element by libm, as Cephes takes it (np.log's vector loops
-    may differ by an ulp)."""
-    return np.fromiter(map(math.log, x.tolist()), float, x.size)
-
-
-def _ndtri(y):
-    """Phi^{-1}(y) in place, for every y in (e^-32, 1 - e^-32): Cephes ndtri's
-    bits."""
-    mid = (y > _E2) & (y <= 1.0 - _E2)
-    v = y[mid] - 0.5
-    w = v * v
-    v += v * (w * np.polyval(_P0, w) / np.polyval(_Q0, w))
-    tail = y[~mid]
-    y[mid] = v * _S2PI
-    # both tails at once: the nearer one is y below 1/2 and 1 - y above it
-    x = np.sqrt(-2.0 * _log(np.minimum(tail, 1.0 - tail)))
-    r = 1.0 / x
-    x -= _log(x) / x
-    x -= r * np.polyval(_P1, r) / np.polyval(_Q1, r)
-    y[~mid] = np.copysign(x, tail - 0.5)
-
-
-def _nodes(i, a, c, dead):
-    """Rows index, w, t and exponent of the nodes at the indices i: z =
-    Phi^{-1}((i + 0.5)/K) by _ndtri, w = a z, t = sqrt(c + w^2) - w and the
-    exponent floor(t^2) + 1, capped at dead."""
-    w = (i + 0.5) / _QUAD_NODES
-    _ndtri(w)
-    w *= a
-    t = np.sqrt(c + w * w) - w
-    return np.vstack((i, w, t, np.minimum(np.floor(t * t) + 1.0, dead)))
-
-
-def _one_exponent(w0, t0, w1, t1, c, dead):
-    """Whether the nodes between two evaluated ones at w0 <= w1 share one
-    capped exponent (the bound is in t_tail_z)."""
-    v = np.maximum(-w0, w1)
-    d = (np.sqrt(c + v * v) + v) * 2.0**-50 + 2.0**-535
-    least = np.maximum(np.maximum(t1 - d, -t0 - d), 0.0)
-    most = np.maximum(d - t1, t0 + d)
-    return (np.minimum(np.floor(least * least) + 1.0, dead)
-            == np.minimum(np.floor(most * most) + 1.0, dead))
-
-
-def _tally(nodes, a, c, dead):
-    """The capped exponent of each run and its node count, in pairs of arrays,
-    from the first of the evaluated nodes (columns of _nodes, in increasing
-    order) up to the last, not included.  A gap between evaluated nodes is one
-    run if no node lies inside, if its ends have one w, or if _one_exponent
-    proves it; else it is split at its middle node and at the nodes next to
-    its ends, as an end may sit on a crossing."""
-    left, right = nodes[:, :-1], nodes[:, 1:]
-    runs = []
-    while True:
-        n = right[0] - left[0]
-        one = (n <= 1.0) | (left[1] == right[1]) | _one_exponent(*left[1:3], *right[1:3], c, dead)
-        runs.append((left[3, one], n[one]))
-        if one.all():
-            return runs
-        left, right, n = left[:, ~one], right[:, ~one], n[~one]
-        inner = left[0, :, None] + np.stack((np.ones_like(n), np.floor(n / 2.0), n - 1.0), axis=1)
-        inner = _nodes(inner.ravel(), a, c, dead).reshape(4, -1, 3)
-        split = np.concatenate((left[:, :, None], inner, right[:, :, None]), axis=2)
-        left, right = split[:, :, :-1].reshape(4, -1), split[:, :, 1:].reshape(4, -1)
-
-
-def _crossing_nodes(k, a, c):
-    """The estimated node index just before each crossing t^2 = k: t(w) =
-    sqrt(k) at w = (c - k)/(2 sqrt(k)), and z = w/a is node K Phi(z) - 1/2."""
-    z = (c - k) / (2.0 * np.sqrt(k)) / a * -math.sqrt(0.5)
-    return np.floor(np.fromiter(map(math.erfc, z.tolist()), float, z.size)
-                    * (0.5 * _QUAD_NODES) - 0.5)
-
-
-def _guides(a, c, bottom, top):
-    """Chunks, in node order, of the nodes to evaluate first: either side of
-    each crossing t^2 = k, bottom <= k < top, _GUIDE_CROSSINGS at a time; or
-    every node, where the crossings outnumber half the nodes."""
-    if top - bottom > _QUAD_NODES // 2:
-        for j in range(0, _QUAD_NODES, 2 * _GUIDE_CROSSINGS):
-            yield np.arange(j, min(j + 2 * _GUIDE_CROSSINGS, _QUAD_NODES), dtype=float)
-        return
-    for k in range(top - 1, bottom - 1, -_GUIDE_CROSSINGS):
-        i = _crossing_nodes(np.arange(k, max(k - _GUIDE_CROSSINGS, bottom - 1), -1.0), a, c)
-        yield np.concatenate((i, i + 1.0))
-
-
-def _exact_dot(counts, vals):
-    """sum(counts * vals) rounded once, for whole counts below 2^26 and values
-    below 2^996 in magnitude.  Veltkamp's split (Dekker 1971) cuts each value
-    into two halves of at most 26 bits each, so every count times a half is
-    exact, and math.fsum (Shewchuk 1997) rounds the sum of those products once;
-    it takes one half's products at a time, which bounds the lists."""
-    big = vals * 134217729.0  # 2^27 + 1
-    hi = big - (big - vals)
+def _exact_dot(pairs):
+    """sum(counts * vals) over the (counts, vals) array pairs, rounded once, for
+    whole counts below 2^26 and values below 2^996 in magnitude.  Veltkamp's split
+    (Dekker 1971) cuts each value into two halves of at most 26 bits, so every
+    count times a half is exact, and math.fsum (Shewchuk 1997) rounds the sum of
+    the products once, taking one half of one pair at a time."""
+    def halves(vals):
+        big = vals * 134217729.0  # 2^27 + 1
+        hi = big - (big - vals)
+        return hi, vals - hi
     return math.fsum(itertools.chain.from_iterable(
-        (counts * half).tolist() for half in (hi, vals - hi)))
+        (counts * half).tolist() for counts, vals in pairs for half in halves(vals)))
+
+
+def _node_counts(a, c, low, top):
+    """(exponents, nonzero node counts) array pairs for the exponents low to top,
+    _CROSSINGS at a time.  t(w) = sqrt(c + w^2) - w falls as w grows, and t^2 = k
+    at w = (c - k)/(2 sqrt(k)), so the nodes with exponent above k are the first
+    floor(K Phi(v) + 1/2), v = w/a; an exponent's count is the difference of two."""
+    above = float(_QUAD_NODES)  # the nodes with exponent at least k
+    for lo in range(low, top, _CROSSINGS):
+        k = np.arange(lo, min(lo + _CROSSINGS, top), dtype=float)
+        arg = (c - k) / (2.0 * np.sqrt(k)) / a / -math.sqrt(2.0)  # Phi(v) = erfc(-v/sqrt(2))/2
+        n = np.floor(np.fromiter(map(math.erfc, arg.tolist()), float, k.size)
+                     * (0.5 * _QUAD_NODES) + 0.5)
+        if lo <= c < lo + k.size and c % 1.0 == 0.0 and math.sqrt(c) * math.sqrt(c) < c:
+            # node K//2 (z = 0, t = fl(sqrt(c))) is on crossing c: exponent c+1 iff fl(t^2) >= c
+            n[int(c) - lo] -= 1.0
+        counts = np.concatenate(([above], n[:-1])) - n
+        yield k[counts != 0.0], counts[counts != 0.0]
+        above = n[-1]
+    yield np.array([float(top)]), np.array([above])
 
 
 def t_tail_z(q: QueueModel, x) -> float:
     """Normal-expectation form E[rho^{floor(t(Z)^2)+1}] with
     t(z) = sqrt(x/mu + (sigma z/(2 mu))^2) - sigma z/(2 mu); equals the series
     exactly (Abel summation over P(floor(t(Z)^2) >= n) = Phi((x-n mu)/(sigma
-    sqrt(n)))), so the two implementations cross-check each other.  The result
-    is the sum of the node values, rounded once, divided by _QUAD_NODES.
+    sqrt(n)))), so the two implementations cross-check each other.
 
-    No node table is kept: a node is built from its index where needed.  With
-    w = fl(a z) and c = x/mu, t(w) = sqrt(c + w^2) - w falls as w grows, and
-    t^2 = k at w = (c - k)/(2 sqrt(k)).  The nodes either side of each such
-    crossing are evaluated first, and each gap between evaluated nodes is
-    proved to hold one exponent (_tally), so the estimates steer only the work.
-    Proof: by the standard model of rounding (Higham 2002, ch. 3, u = 2^-53),
-    |fl(t(w)) - t(w)| <= 3.01 u s(w), s(w) = sqrt(c + w^2) + |w|, plus 2^-537
-    where w^2 underflows.  Rounding is monotone and the nodes increase, so
-    between evaluated nodes w lies in [w0, w1], t(w) in [t(w1), t(w0)] and s(w)
-    is at most s at the end of larger |w|.  So fl(t) lies in [fl(t1) - d,
-    fl(t0) + d], d = 2 gamma u s + 2^-535 with gamma = 4 (6.02 u s for the two
-    ends, the rest for rounding d and t -+ d), and floor(fl(t t)) + 1 between
-    its values at the least and the greatest |t| there.  Exponents from `dead`
-    on, where rho^e underflows, count as one."""
+    It is the midpoint rule over the _QUAD_NODES nodes z_i = Phi^{-1}((i +
+    0.5)/K), counted in exact arithmetic by _node_counts, with Phi from libm
+    erfc, and fl(sqrt(k)) at the z = 0 tie; no node is built.  Phi is taken at
+    the series' own arguments, so the forms differ by the quantization to 1/K
+    and by the Phi mass beyond the end nodes, |z| = 5.026, left out (-12% of T
+    at an exponential law, rho = 0.5, x = 100).  Exponents from `dead` on, where
+    rho^e underflows, count as one.  The node values' sum is rounded once."""
     check_nonnegative("x", x)
-    sigma = _sigma(q)
     mu = q.model.mean()
-    rho = q.rho
-    a = sigma / (2.0 * mu)
+    a = _sigma(q) / (2.0 * mu)
     c = x / mu
     if c == math.inf:
         return 0.0  # t is +inf at every node
-    keep_heap(1 << 19)  # freed blocks up to 512 KiB then stay on the heap
-    dead = float(math.ceil(-746.0 / math.log(rho)))  # e log(rho) <= -746 from here on
-    ends = _nodes(np.array([0.0, _QUAD_NODES - 1.0]), a, c, dead)
-    runs = [(ends[3, 1:], np.ones(1))]  # the last node
-    last = ends[:, :1]
-    for guide in _guides(a, c, int(ends[3, 1]), int(ends[3, 0])):
-        i = np.unique(guide)
-        i = i[(i > last[0, 0]) & (i < _QUAD_NODES - 1.0)]
-        nodes = np.hstack((last, _nodes(i, a, c, dead)))
-        runs += _tally(nodes, a, c, dead)
-        last = nodes[:, -1:]
-    runs += _tally(np.hstack((last, ends[:, 1:])), a, c, dead)
-    expo, counts = map(np.concatenate, zip(*runs))
-    del runs  # before np.unique's temporaries
-    expo, at = np.unique(expo, return_inverse=True)
-    counts = np.bincount(at, weights=counts)
-    e = expo * math.log(rho)
-    vals = np.exp(e)
-    vals[e < -745.0] = 0.0
-    return _exact_dot(counts, vals) / _QUAD_NODES
+    log_rho = math.log(q.rho)
+    dead = math.ceil(-746.0 / log_rho)  # e log(rho) <= -746 from here on
+    w = a * np.array(_Z_ENDS)
+    t = np.sqrt(c + w * w) - w
+    top, low = (min(math.floor(min(e, dead)) + 1, dead) for e in (t * t).tolist())
+    pairs = ((n, np.where(k * log_rho < -745.0, 0.0, np.exp(k * log_rho)))
+             for k, n in _node_counts(a, c, low, top))
+    return _exact_dot(pairs) / _QUAD_NODES
 
 
 def h_clt(q: QueueModel, x) -> float:

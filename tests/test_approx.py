@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import pathlib
@@ -44,17 +45,13 @@ from mg1tail import (
     tail_prob,
     threshold_x,
 )
-from mg1tail import approx
 from mg1tail.approx import (
-    _E2,
     _GRID_MIN,
     _QUAD_NODES,
     _SERIES_TOL,
     _TERM_FLOOR,
+    _Z_ENDS,
     _exact_dot,
-    _ndtri,
-    _nodes,
-    _one_exponent,
     _sigma,
 )
 
@@ -157,25 +154,33 @@ def test_t_dual_forms_agree():
             assert abs(t_tail(q, x) - t_tail_z(q, x)) <= 1e-6
 
 
+@functools.cache
+def _quad_nodes():
+    """Every quadrature node z_i = Phi^{-1}((i + 0.5)/K), by scipy."""
+    return ndtri((np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES)
+
+
 def _t_tail_z_per_node(q, x):
-    """Reference: t_tail_z with the exponent of every node, building the
-    nodes in every call; the sum is exact over the exponent histogram."""
+    """Reference: t_tail_z with the exponent of every node, from the nodes
+    themselves; the sum over the exponent histogram is exact, rounded once."""
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     sigma = _sigma(q)
     mu = q.model.mean()
     rho = q.rho
-    u = (np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES
-    z = ndtri(u)
-    z = z[np.abs(z) <= 10.0]
+    z = _quad_nodes()
     a = sigma / (2.0 * mu)
     t = np.sqrt(x / mu + (a * z) ** 2) - a * z
     expo, counts = np.unique(np.floor(t * t) + 1.0, return_counts=True)
     log_rho = math.log(rho)
     vals = np.exp(np.maximum(expo * log_rho, -745.0))
     vals[expo * log_rho < -745.0] = 0.0
-    exact = sum(Fraction(v) * c for v, c in zip(vals.tolist(), counts.tolist()))
-    return float(exact) / _QUAD_NODES
+    # exact: every value is a whole multiple of 2^-1074, n/d with d a power of 2
+    scaled = 0
+    for v, count in zip(vals.tolist(), counts.tolist()):
+        n, d = v.as_integer_ratio()
+        scaled += (count * n) << (1075 - d.bit_length())
+    return float(Fraction(scaled, 1 << 1074)) / _QUAD_NODES
 
 
 @settings(max_examples=25, deadline=None)
@@ -194,58 +199,48 @@ def _t_tail_z_per_node(q, x):
 @example(model=ParetoIntegratedTail(3.01), rho=0.8, x=1e6)
 # every block open and every value live (T is about 1.69e-22)
 @example(model=ParetoIntegratedTail(3.01), rho=0.9999, x=1e6)
-# x/mu = 3: the exponent steps from 4 to 3 at z = 0, inside the block that
-# straddles it
+# x/mu = 3: node K//2 (z = 0) sits on the crossing t^2 = 3
 @example(model=ExponentialIntegrated(1.0), rho=0.5, x=3.0)
 # a one-point law: sigma = 0, so every node has w = 0 and one exponent
 @example(model=Lattice(h=1.0, mass=[0.0, 1.0]), rho=0.5, x=2.0)
 # every value underflows, and t is +inf at every node
 @example(model=ParetoIntegratedTail(3.5), rho=0.5, x=1e12)
 @example(model=ParetoIntegratedTail(3.5), rho=0.5, x=math.inf)
-# sigma/mu = 100: 2.0M exponent steps, so every node is evaluated
+# sigma/mu = 100: 2.0M exponent steps, more than the nodes
 @example(model=Lattice(h=1.0, mass=[0.9999] + [0.0] * 9999 + [0.0001]), rho=0.9999,
          x=4e6)
+@example(model=ParetoIntegratedTail(3.5), rho=0.8, x=10.0)
+@example(model=ParetoIntegratedTail(3.5), rho=0.95, x=75.0)
+@example(model=ParetoIntegratedTail(3.01), rho=0.9, x=2000.0)
 def test_t_tail_z_bit_identical_to_per_node_form(model, rho, x):
     q = QueueModel(model=model, rho=rho)
     assert t_tail_z(q, x) == _t_tail_z_per_node(q, x)
 
 
-def _node_slice(i):
-    """The nodes i to i + 255, or to the last node."""
-    return _nodes(np.arange(i, min(i + 256, _QUAD_NODES), dtype=float), 1.0, 0.0, math.inf)[1]
-
-
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(
-    z=st.one_of(
-        # a slice of the quadrature nodes, the short last one included
-        st.integers(0, _QUAD_NODES - 1).map(_node_slice),
-        st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=300).map(np.sort),
-    ),
-    a=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
-    c=st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e7), st.just(1e7)),
-    dead=st.one_of(st.just(math.inf), st.floats(1.0, 1e4).map(math.ceil)),
+    # exact means 1, 2 and 4, so x = (x/mu) mu is exact
+    rate=st.sampled_from([1.0, 0.5, 0.25]),
+    rho=st.floats(0.01, 0.9999),
+    c=st.integers(0, 10_000),
 )
-@example(z=np.array([-1e-4, 0.0, 1e-4]), a=1.0, c=3.0, dead=math.inf)
-# c = 0: t = sqrt(w^2) - w dips to -1 ulp at some w < 0
-@example(z=np.array([0.5, 1.0]), a=1.0, c=0.0, dead=math.inf)
-@example(z=np.linspace(-5.0, -0.5, 300), a=1.0, c=0.0, dead=math.inf)
-@example(z=np.linspace(-5.0, 5.0, 300), a=3.0, c=1e7, dead=math.inf)
-# rounding makes the exponent 16, 15, 16 at three consecutive w: no gap
-# bound may call that one exponent
-@example(z=np.array([4.187014177148621, 4.187014177148656, 4.187014177148657]), a=1.0,
-         c=47.43247235686219, dead=math.inf)
-def test_exponent_bounds_hold_every_node(z, a, c, dead):
-    w = a * z
-    t = np.sqrt(c + w * w) - w
-    expo = np.minimum(np.floor(t * t) + 1.0, dead)
-    claim = _one_exponent(w[:1], t[:1], w[-1:], t[-1:], c, dead)[0]
-    if claim:
-        assert expo.min() == expo.max()
-    # and the claim is made where t^2 stays clear of every integer below dead
-    lo, hi = t.min() - 1e-6 * (1.0 + t.max()), t.max() + 1e-6 * (1.0 + t.max())
-    if lo > 0.0 and min(math.floor(hi * hi), dead) == min(math.floor(lo * lo), dead):
-        assert claim
+# the golden points on the tie: x = 10 and 40 at rate 0.3, x/mu = 3 and 12
+@example(rate=0.3, rho=0.3, c=3)
+@example(rate=0.3, rho=0.99, c=12)
+def test_t_tail_z_tie_at_integral_x_over_mu(rate, rho, c):
+    # node K//2 has z = 0 and lies on the crossing t^2 = x/mu: t_tail_z counts
+    # it with the exponent its float t = fl(sqrt(x/mu)) gives
+    q = QueueModel(model=ExponentialIntegrated(rate), rho=rho)
+    x = c / rate
+    assert x / q.model.mean() == c
+    assert t_tail_z(q, x) == _t_tail_z_per_node(q, x)
+
+
+def test_end_nodes_have_scipy_bits():
+    # t_tail_z takes its end exponents from these two z; a node's z is
+    # ndtri((i + 0.5)/K)
+    want = ndtri(np.array([0.5, _QUAD_NODES - 0.5]) / _QUAD_NODES).tolist()
+    assert [z.hex() for z in _Z_ENDS] == [z.hex() for z in want]
 
 
 def _random_runs(n, seed):
@@ -268,7 +263,11 @@ def _random_runs(n, seed):
 def test_exact_dot_rounds_once(runs):
     counts, vals = runs
     want = float(sum(Fraction(c) * Fraction(v) for c, v in zip(counts, vals)))
-    assert _exact_dot(np.array(counts), np.array(vals)) == want
+    # in one pair and in two
+    h = len(counts) // 2
+    assert _exact_dot([(np.array(counts), np.array(vals))]) == want
+    assert _exact_dot([(np.array(counts[:h]), np.array(vals[:h])),
+                       (np.array(counts[h:]), np.array(vals[h:]))]) == want
 
 
 def test_t_tail_step_limit_and_overflow_without_warnings():
@@ -309,9 +308,9 @@ def test_t_tail_z_memory_is_bounded(q, x):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # no node-sized array: the nodes are built where needed, a chunk of
-    # crossings at a time, and the sum lists the products of one half of the
-    # values at a time, one per exponent
+    # no node is built: the nodes are counted a chunk of crossings at a time,
+    # and the sum lists the products of one half of one chunk's values at a
+    # time, one per exponent
     assert peak <= 5 * 2**20
 
 
@@ -428,78 +427,6 @@ def _fresh_python(probe):
     src = str(pathlib.Path(mg1tail.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-
-
-@settings(max_examples=1000, deadline=None)
-@given(y=st.lists(st.floats(0.5 / _QUAD_NODES, 1.0 - 0.5 / _QUAD_NODES),
-                  min_size=1, max_size=40))
-# either side of the bounds of the central branch, e^-2 and 1 - e^-2
-@example(y=[math.nextafter(_E2, 0.0)])
-@example(y=[_E2])
-@example(y=[math.nextafter(_E2, 1.0)])
-@example(y=[math.nextafter(1.0 - _E2, 0.0)])
-@example(y=[1.0 - _E2])
-@example(y=[math.nextafter(1.0 - _E2, 1.0)])
-@example(y=[0.5])
-def test_ndtri_port_bit_identical_to_scipy(y):
-    got = np.array(y)
-    _ndtri(got)
-    assert np.array_equal(got.view(np.int64), ndtri(np.array(y)).view(np.int64))
-
-
-def test_node_tails_stay_below_x_8():
-    # Cephes takes a third rational where x = sqrt(-2 log y) >= 8 for the
-    # nearer tail y; _ndtri leaves it out, since no node comes near it
-    u = (np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES
-    x = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
-    assert x.max() < 8.0
-    assert x.max() < 5.52
-
-
-# the node indices either side of the seams y = e^-2 and y = 1 - e^-2
-_SEAMS = [i for y in (_E2, 1.0 - _E2)
-          for i in range(int(y * _QUAD_NODES) - 3, int(y * _QUAD_NODES) + 4)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(i=st.lists(st.one_of(st.integers(0, _QUAD_NODES - 1), st.sampled_from(_SEAMS)),
-                  min_size=1, max_size=40))
-@example(i=_SEAMS)
-@example(i=[0, _QUAD_NODES // 2, _QUAD_NODES - 1])
-def test_nodes_from_any_indices_have_scipy_bits(i):
-    got = _nodes(np.array(i, dtype=float), 1.0, 0.0, math.inf)[1]
-    want = ndtri((np.array(i) + 0.5) / _QUAD_NODES)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def test_every_node_has_scipy_bits_and_the_nodes_increase():
-    # t_tail_z's gap bound takes the nodes between two evaluated ones to lie
-    # between them; chunks overlap by one node
-    step = 1 << 16
-    for i in range(0, _QUAD_NODES - 1, step):
-        idx = np.arange(i, min(i + step + 1, _QUAD_NODES), dtype=float)
-        z = _nodes(idx, 1.0, 0.0, math.inf)[1]
-        assert np.array_equal(z.view(np.int64), ndtri((idx + 0.5) / _QUAD_NODES).view(np.int64))
-        assert (np.diff(z) > 0).all()
-
-
-@pytest.mark.parametrize("model, rho, x", [
-    (ParetoIntegratedTail(3.5), 0.8, 10.0),
-    (ParetoIntegratedTail(3.5), 0.95, 75.0),
-    (ExponentialIntegrated(1.0), 0.5, 3.0),
-    (ParetoIntegratedTail(3.5), 0.5, 1960.0),
-    (ParetoIntegratedTail(3.01), 0.9, 2000.0),
-])
-@pytest.mark.parametrize("estimate", ["random", "none"])
-def test_t_tail_z_exact_whatever_the_crossing_estimates(monkeypatch, model, rho, x, estimate):
-    rng = np.random.default_rng(5)
-    if estimate == "random":
-        guess = lambda k, a, c: rng.integers(-3, _QUAD_NODES + 3, k.size).astype(float)
-    else:
-        guess = lambda k, a, c: np.empty(0)
-    monkeypatch.setattr(approx, "_crossing_nodes", guess)
-    q = QueueModel(model=model, rho=rho)
-    assert t_tail_z(q, x) == _t_tail_z_per_node(q, x)
 
 
 def test_h_clt_decomposition():
