@@ -45,6 +45,7 @@ from mg1tail import (
     tail_prob,
     threshold_x,
 )
+from mg1tail import approx
 from mg1tail.approx import (
     _GRID_MIN,
     _QUAD_NODES,
@@ -241,6 +242,28 @@ def test_end_nodes_have_scipy_bits():
     # ndtri((i + 0.5)/K)
     want = ndtri(np.array([0.5, _QUAD_NODES - 0.5]) / _QUAD_NODES).tolist()
     assert [z.hex() for z in _Z_ENDS] == [z.hex() for z in want]
+
+
+@pytest.mark.parametrize("model, rho, x", [
+    (ParetoIntegratedTail(3.5), 0.8, 10.0),
+    (ParetoIntegratedTail(3.5), 0.95, 75.0),
+    (ExponentialIntegrated(1.0), 0.5, 3.0),
+    (ParetoIntegratedTail(3.5), 0.5, 1960.0),
+    (ParetoIntegratedTail(3.01), 0.9, 2000.0),
+])
+@pytest.mark.parametrize("estimate", ["random", "none"])
+def test_t_tail_z_exact_whatever_the_crossing_estimates(monkeypatch, model, rho, x, estimate):
+    # the end nodes estimate which crossings t^2 = k hold nodes; a wider
+    # estimate walks crossings with no node, whose counts must come out zero.
+    # "none" walks every crossing from 1 to where rho^k underflows
+    rng = np.random.default_rng(5)
+    if estimate == "random":
+        ends = (_Z_ENDS[0] - rng.uniform(0.0, 10.0), _Z_ENDS[1] + rng.uniform(0.0, 10.0))
+    else:
+        ends = (-1e6, 1e6)
+    monkeypatch.setattr(approx, "_Z_ENDS", ends)
+    q = QueueModel(model=model, rho=rho)
+    assert t_tail_z(q, x) == _t_tail_z_per_node(q, x)
 
 
 def _random_runs(n, seed):
