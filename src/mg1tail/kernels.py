@@ -28,14 +28,17 @@ contiguous adds; the results are scattered back to replication order before
 the per-x step.  So every bit is that of one pass over each replication's
 draws: a sum is still ((0 + x1) + x2) + ... in draw order, a maximum is
 exact, a tie count is an integer, and the sums over replications run in
-replication order.
+replication order.  Hence any largest-first order gives the same bits.
+Count arrays take the narrowest unsigned type that holds the largest count:
+N * tail and the atom term see the same whole numbers as in any wider type.
 
 Memory: the two buffers take 16 bytes per chunk draw; a lattice model's
 ``quantile`` adds one 8-byte-per-draw index at a time; a chunk holds at most
 ``CHUNK_PIECES`` columns (or parts of one), about 150 bytes of bookkeeping
-each; the rest is about 50 bytes per replication in the estimators' calls
-of up to 4 * 10^4 replications, drawn at once and summed in runs of 10^4
-(about 70 in a call of 10^4).  So a call needs at most
+each; the rest is about 36 bytes per replication (crude: 26 to 28) in the
+estimators' calls of 4 * 10^4 replications, drawn at once and summed in runs
+of 10^4 (about 50 in a call of 10^4; a lattice's tie counts and atom terms
+add about 30; tracemalloc).  So a call needs at most
 ``24 * CHUNK_DRAWS + 150 * CHUNK_PIECES`` bytes (1.6 MiB) plus O(nreps) at
 any rho; arrays over the whole batch would need ~56 bytes per draw (5.6 GB
 for 10^4 replications at rho=0.9999).
@@ -56,31 +59,31 @@ _local = threading.local()
 _GOLD = int(rng.GOLD_U64)
 
 
-def keep_heap(nbytes):
-    """Keep glibc from handing freed blocks of up to nbytes back to the OS:
-    freeing a block it had to mmap raises its mmap threshold (128 KiB at
-    first) to the block's size and its heap trim threshold to twice that
-    (mallopt(3), M_MMAP_THRESHOLD), so temporaries are not faulted in anew."""
-    np.empty(nbytes, dtype=np.uint8)
-
-
 def _buffers():
     """This thread's counter and draw buffers."""
     bufs = getattr(_local, "bufs", None)
     if bufs is None or bufs[0].size != CHUNK_DRAWS:
-        # each batch would otherwise fault its O(nreps) arrays in again
-        keep_heap(8 * CHUNK_DRAWS)
+        # freeing this block, which glibc has to mmap, raises its mmap
+        # threshold (128 KiB at first) to the block's size and its heap trim
+        # threshold to twice that (mallopt(3), M_MMAP_THRESHOLD), so each
+        # batch's O(nreps) arrays are not handed back and faulted in again
+        np.empty(8 * CHUNK_DRAWS, dtype=np.uint8)
         bufs = _local.bufs = (np.empty(CHUNK_DRAWS, dtype=np.uint64),
                               np.empty(CHUNK_DRAWS, dtype=np.uint64))
     return bufs
 
 
 def _counts(rho, seed, rep0, nreps, n_offset):
-    reps = (np.uint64(rep0) + np.arange(nreps, dtype=np.uint64))
+    """The substream states and the counts N, the latter in the narrowest
+    unsigned type that holds the largest N."""
+    reps = np.arange(nreps, dtype=np.uint64)
+    reps += np.uint64(rep0)
     states = rng.substream_states_np(int(seed), reps)
-    u0 = rng.uniforms_inplace(states + rng.GOLD_U64, np.empty_like(states))  # draw 0
-    n = np.floor(np.log(u0) / math.log(rho)).astype(np.int64) + n_offset
-    return states, n
+    u0 = rng.uniforms_inplace(np.add(states, rng.GOLD_U64), reps)  # draw 0, over reps
+    n = np.log(u0, out=u0)
+    np.floor(np.divide(n, math.log(rho), out=n), out=n)
+    n += n_offset  # whole numbers far below 2^53, so exact
+    return states, n.astype(np.min_scalar_type(int(n.max(initial=0))))
 
 
 def _draws(model, states, counts):
@@ -126,6 +129,12 @@ def _chunk(model, z, tmp, pieces, used):
     pieces.clear()
 
 
+def _largest_first(n):
+    """An order of the replications by count N, largest first.  A stable
+    sort of an unsigned key of up to 16 bits is numpy's O(n) radix sort."""
+    return np.argsort(n, kind="stable")[::-1]
+
+
 def _unsorted(a, order):
     """a, given in the sorted order, back in replication order."""
     out = np.empty_like(a)
@@ -142,9 +151,10 @@ def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0, size=None):
     with one such result per run of ``size`` replications (the last may be
     shorter), each bit-identical to a separate call on that run."""
     states, n = _counts(rho, seed, rep0, nreps, n_offset)
-    counts = np.maximum(n - 1, 0)
-    order = np.argsort(-counts)
-    states, counts = states[order], counts[order]
+    order = _largest_first(n)
+    states, counts = states[order], n[order]
+    np.maximum(counts, 1, out=counts)
+    counts -= 1  # draws 1..N-1
     s = np.zeros(nreps)
     m = np.zeros(nreps)
     lattice = isinstance(model, Lattice)
@@ -158,10 +168,13 @@ def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0, size=None):
             tc *= xs <= mc  # a new maximum voids the ties counted so far
             tc += xs >= mc
         np.maximum(mc, xs, out=mc)
-    del states, counts  # 16 bytes per replication fewer at the scatter below
-    s, m = _unsorted(s, order), _unsorted(m, order)
+    del states, counts  # 8 bytes per replication and the counts fewer below
+    s = _unsorted(s, order)
+    m = _unsorted(m, order)
     if lattice:
         extra = n * model.atom(m) / (_unsorted(ties, order) + 1.0)
+        del ties
+    del order  # 8 bytes per replication fewer in the per-x step
     grid = np.ndim(x) > 0
     runs = []
     # each run and x gets its own contiguous 1-d v, reduced by the same 1-d
@@ -169,13 +182,15 @@ def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0, size=None):
     for lo in [0] if size is None else range(0, nreps, size):
         r = slice(lo, nreps if size is None else lo + size)
         sr, mr, nr = s[r], m[r], n[r]
+        t = np.empty_like(sr)
         sums = []
         for xi in (x if grid else [x]):
-            t = np.maximum(mr, xi - sr)
-            v = nr * model.tail(t)
+            np.maximum(mr, np.subtract(xi, sr, out=t), out=t)
+            v = np.multiply(nr, model.tail(t), out=t)
             if lattice:
-                v = v + np.where(sr + mr > xi, extra[r], 0.0)
-            sums.append((float(v.sum()), float((v * v).sum())))
+                v += np.where(sr + mr > xi, extra[r], 0.0)
+            s1 = float(v.sum())
+            sums.append((s1, float(np.multiply(v, v, out=v).sum())))
         runs.append(sums if grid else sums[0])
     return runs[0] if size is None else runs
 
@@ -183,10 +198,9 @@ def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0, size=None):
 def crude_batch(model, rho, x, seed, rep0, nreps, n_offset=0):
     """Count of compound-geometric samples exceeding x in the batch."""
     states, n = _counts(rho, seed, rep0, nreps, n_offset)
-    counts = np.maximum(n, 0)
-    order = np.argsort(-counts)
-    states, counts = states[order], counts[order]
-    del n, order  # 16 bytes per replication fewer during the draws
+    order = _largest_first(n)
+    states, counts = states[order], n[order]
+    del n, order  # 8 bytes per replication and the counts fewer during the draws
     w = np.zeros(nreps)  # in sorted order; the count does not see the order
     for a, b, xs in _draws(model, states, counts):
         w[a:b] += xs

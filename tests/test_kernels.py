@@ -228,6 +228,18 @@ def test_column_edge_cases_equal_whole_batch_reference(model, rho, seed, nreps, 
             assert kernels.crude_batch(*c) == _ref_crude_batch(*c)
 
 
+@pytest.mark.parametrize("model", MODELS, ids=["pareto", "exp", "lattice"])
+def test_32_bit_counts_equal_whole_batch_reference(model):
+    # counts N of 2594, 13411 and 66218 (one more each with n_offset 1): the
+    # largest needs a 32-bit sort key, where the one-rep cases above need 16
+    for n_offset in (0, 1):
+        assert kernels._counts(0.99999, 129, 0, 3, n_offset)[1].dtype == np.uint32
+        a = (model, 0.99999, [0.0, 40.0, 3e4], 129, 0, 3, n_offset)
+        assert kernels.ak_batch(*a) == _ref_ak_batch(*a)
+        c = (model, 0.99999, 3e4, 129, 0, 3, n_offset)
+        assert kernels.crude_batch(*c) == _ref_crude_batch(*c) == (1.0, 1.0)
+
+
 def test_threads_get_serial_results(monkeypatch):
     # each thread has its own buffers; shared ones would mix the threads' draws
     monkeypatch.setattr(kernels, "CHUNK_DRAWS", 64)
@@ -258,35 +270,42 @@ def test_threads_get_serial_results(monkeypatch):
     assert results == [serial] * 4
 
 
+def _peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # about 1e7 Pareto / 1e6 lattice draws, where whole-batch arrays would take
-# ~56 bytes per draw; and a call of the estimators' size at point-mc's model
+# ~56 bytes per draw; and calls of the estimators' size at point-mc's model
+# and at Pareto rho=0.99.  With the chunk buffers in place, such a call keeps
+# at most 40 bytes per replication (ak: states, order, sums, maxima and the
+# counts in their narrowest type) or 30 (crude)
 @pytest.mark.parametrize("model, rho, nreps, size, per_rep", [
     (MODELS[0], 0.9999, 1_000, None, 256),
     (MODELS[2], 0.999, 1_000, None, 256),
     (MODELS[1], 0.9, 40_000, 10_000, 64),
-], ids=["pareto", "lattice", "exp-call"])
+    (MODELS[0], 0.99, 40_000, 10_000, 64),
+], ids=["pareto", "lattice", "exp-call", "pareto-call"])
 def test_batch_memory_is_bounded_by_the_chunk(model, rho, nreps, size, per_rep,
                                               monkeypatch):
-    monkeypatch.setattr(kernels, "_local", threading.local())  # fresh buffers
-    tracemalloc.start()
-    try:
-        kernels.ak_batch(model, rho, [1.0, 10.0], 3, 0, nreps, size=size)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * kernels.CHUNK_DRAWS + per_rep * nreps
+    calls = [(40, lambda: kernels.ak_batch(model, rho, [1.0, 10.0], 3, 0, nreps, size=size)),
+             (30, lambda: kernels.crude_batch(model, rho, 10.0, 3, 0, nreps))]
+    for warm_per_rep, call in calls:
+        monkeypatch.setattr(kernels, "_local", threading.local())  # fresh buffers
+        assert _peak(call) < 40 * kernels.CHUNK_DRAWS + per_rep * nreps
+        if size is not None:
+            assert _peak(call) <= warm_per_rep * nreps
 
 
 def test_tail_column_bookkeeping_is_bounded(monkeypatch):
     # one replication of ~32k draws, so every column is one draw: without the
     # cap on pieces per chunk, one chunk would hold ~32k of them
     monkeypatch.setattr(kernels, "_local", threading.local())  # fresh buffers
-    tracemalloc.start()
-    try:
-        kernels.ak_batch(MODELS[0], 0.9999, [1.0, 10.0], 11, 0, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak(lambda: kernels.ak_batch(MODELS[0], 0.9999, [1.0, 10.0], 11, 0, 1))
     assert _ref_counts(0.9999, 11, 0, 1, 0)[1][0] > 30_000
     assert peak < 24 * kernels.CHUNK_DRAWS + 150 * kernels.CHUNK_PIECES + 2**16
 
