@@ -13,7 +13,8 @@ integrated-tail law X has mean mu and tail F̄.  The approximations here:
   gamma = 1 - rho^{x/mu}(1 + (1-rho)x/mu), provably in [0,1);
 * t_tail / h_clt:  the normal-refined geometric term
   T(rho,x) = sum_{n>=1} (1-rho) rho^n (1 - Phi((x-n mu)/(sigma sqrt(n))))
-  replacing rho^{x/mu}, summed over a whole x-grid at once by t_tail_grid;
+  replacing rho^{x/mu}; t_tail_grid closes the series with rho^{n0} past the
+  first n0 where libm's erfc is 2, and sums each x's terms exactly;
   t_tail_z evaluates the same quantity as a normal expectation
   E[rho^{floor(t(Z)^2)+1}] by the midpoint rule, its nodes counted per
   exponent in closed form and their values summed exactly;
@@ -32,11 +33,8 @@ from .errors import UnsupportedModelError, check_finite, check_nonnegative
 # terms below this magnitude are skipped so summation order quirks at the
 # subnormal boundary cannot leak into results
 _TERM_FLOOR = 1e-300
-_SERIES_TOL = 1e-12
-# elements per (n, x) block of t_tail_grid's terms, which bounds its memory
+# terms per block of one x's T series, which bounds t_tail_grid's memory
 _GRID_BLOCK = 1 << 14
-# shorter grids add each x's terms in a Python loop, cheaper there than numpy
-_GRID_MIN = 36
 
 
 @dataclass(frozen=True)
@@ -145,53 +143,53 @@ def _sigma(q: QueueModel) -> float:
 
 
 def t_tail_grid(q: QueueModel, xs) -> list[float]:
-    """T(rho, x) at each x of xs: the series to the smallest N with rho^{N+1} < 1e-12
-    (each later term is at most (1-rho) rho^n), its terms built once per (n, x) block,
-    then each x's terms added in order by a compensated sum (Higham 2002, sec. 4.3):
-    per x in a Python loop on grids shorter than _GRID_MIN, else once per n for all x."""
+    """T(rho, x) at each x of xs, its series closed.  z_n = (x - n mu)/(sigma
+    sqrt(2n)) falls as n grows.  The terms before the first n with z_n <= 27 sum
+    below 0.5 erfc(27) < 2.7e-319, and from n0, the first n with z_n <= -6, libm's
+    erfc is exactly 2, so the terms are (1-rho) rho^n and sum to rho^{n0}.  T is
+    the terms between, by libm erfc and weights (1-rho) rho^n (pow at each block's
+    first n, then a running product), plus rho^{n0}, rounded once by math.fsum
+    (Shewchuk 1997).  Both n are stepped to in floats from a quadratic in sqrt(n):
+    an x costs O(sigma sqrt(x/mu)/mu) terms at any rho, none from `dead` on, where
+    rho^n underflows, and no loop of numpy's CPU dispatch touches the bits."""
     for x in xs:
         check_nonnegative("x", x)
     sigma = _sigma(q)
     mu = q.model.mean()
     rho = q.rho
-    n_max = math.ceil(math.log(_SERIES_TOL) / math.log(rho))
-    x = np.array(xs, dtype=float)
-    total, comp, ys, ts, cs = (np.zeros(x.size) for _ in range(5))
-    weight = (1.0 - rho) * rho
-    rows = _GRID_BLOCK // max(x.size, 1) or 1
-    for lo in range(1, n_max + 1, rows):
-        n = np.arange(lo, min(lo + rows, n_max + 1), dtype=float)[:, None]
-        # no warnings: z is +-inf on overflow or for a one-point law, NaN there at x = n mu
-        with np.errstate(all="ignore"):
-            z = (x - n * mu) / (sigma * np.sqrt(n)) / math.sqrt(2.0)
-        weights = np.cumprod(np.concatenate(([weight], np.full(n.size - 1, rho))))
-        weight = weights[-1] * rho
-        # libm's erfc is exactly 2 at z <= -6, so its half is 1; at z >= 27 it is
-        # below 5.3e-319, so the term falls under _TERM_FLOOR, as it does at NaN
-        terms = np.where(z <= -6.0, 1.0, 0.0)
-        live = (z > -6.0) & (z < 27.0)
-        terms[live] = 0.5 * np.fromiter(map(math.erfc, z[live].tolist()), float)
-        terms *= weights[:, None]
-        if x.size < _GRID_MIN:
-            for j in range(x.size):
-                s, c = float(total[j]), float(comp[j])
-                for term in terms[:, j].tolist():
-                    if term >= _TERM_FLOOR:
-                        y = term - c
-                        t = s + y
-                        c = (t - s) - y
-                        s = t
-                total[j], comp[j] = s, c
-            continue
-        # a skipped term leaves its x's total and compensation as they are
-        for term, keep in zip(terms, terms >= _TERM_FLOOR):
-            np.subtract(term, comp, out=ys)
-            np.add(total, ys, out=ts)
-            np.subtract(ts, total, out=cs)
-            np.subtract(cs, ys, out=cs)
-            np.copyto(comp, cs, where=keep)
-            np.copyto(total, ts, where=keep)
-    return total.tolist()
+    dead = math.ceil(-746.0 / math.log(rho))  # rho^n underflows from here on
+
+    def first(x, bound):
+        # the first n < dead with z_n <= bound, else dead; at sigma = 0, z_n is
+        # -inf exactly where n mu > x, so no term lies between the two n
+        def passed(n):
+            d = x - n * mu
+            return d / (sigma * math.sqrt(n)) / math.sqrt(2.0) <= bound if sigma else d < 0.0
+        b, c = bound * math.sqrt(2.0) * sigma / mu, x / mu
+        r = math.hypot(b, 2.0 * math.sqrt(c))  # the root in sqrt(n), without cancellation
+        v = 2.0 * c / (b + r) if b > 0.0 else (r - b) / 2.0
+        n = int(min(dead, v * v + 1.0))  # v is NaN or inf where x/mu is inf
+        while n > 1 and passed(n - 1):
+            n -= 1
+        while n < dead and not passed(n):
+            n += 1
+        return n
+
+    return [math.fsum(itertools.chain.from_iterable(
+        _blocks(x, mu, sigma, rho, first(x, 27.0), first(x, -6.0)))) for x in xs]
+
+
+def _blocks(x, mu, sigma, rho, lo, n0):
+    """T's terms for n in [lo, n0), by blocks, largest first (fsum's fastest), then rho^{n0}."""
+    for a in range(lo, n0, _GRID_BLOCK):
+        n = np.arange(a, min(a + _GRID_BLOCK, n0), dtype=float)
+        z = (x - n * mu) / (sigma * np.sqrt(n)) / math.sqrt(2.0)
+        w = np.full(n.size, rho)
+        w[0] = (1.0 - rho) * rho ** a
+        terms = 0.5 * np.fromiter(map(math.erfc, z.tolist()), float, n.size) * np.cumprod(w, out=w)
+        terms[::-1].sort()
+        yield terms.tolist()
+    yield [rho ** n0]
 
 
 def t_tail(q: QueueModel, x) -> float:
@@ -253,7 +251,8 @@ def t_tail_z(q: QueueModel, x) -> float:
     the series' own arguments, so the forms differ by the quantization to 1/K
     and by the Phi mass beyond the end nodes, |z| = 5.026, left out (-12% of T
     at an exponential law, rho = 0.5, x = 100).  Exponents from `dead` on, where
-    rho^e underflows, count as one.  The node values' sum is rounded once."""
+    rho^e underflows, count as one.  The values are libm exp's, and their sum is
+    rounded once, so numpy's CPU dispatch does not touch the bits."""
     check_nonnegative("x", x)
     mu = q.model.mean()
     a = _sigma(q) / (2.0 * mu)
@@ -265,7 +264,7 @@ def t_tail_z(q: QueueModel, x) -> float:
     w = a * np.array(_Z_ENDS)
     t = np.sqrt(c + w * w) - w
     top, low = (min(math.floor(min(e, dead)) + 1, dead) for e in (t * t).tolist())
-    pairs = ((n, np.where(k * log_rho < -745.0, 0.0, np.exp(k * log_rho)))
+    pairs = ((n, np.array([0.0 if e < -745.0 else math.exp(e) for e in (k * log_rho).tolist()]))
              for k, n in _node_counts(a, c, low, top))
     return _exact_dot(pairs) / _QUAD_NODES
 

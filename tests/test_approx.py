@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import os
 import pathlib
@@ -47,9 +48,7 @@ from mg1tail import (
 )
 from mg1tail import approx
 from mg1tail.approx import (
-    _GRID_MIN,
     _QUAD_NODES,
-    _SERIES_TOL,
     _TERM_FLOOR,
     _Z_ENDS,
     _exact_dot,
@@ -174,11 +173,10 @@ def _t_tail_z_per_node(q, x):
     t = np.sqrt(x / mu + (a * z) ** 2) - a * z
     expo, counts = np.unique(np.floor(t * t) + 1.0, return_counts=True)
     log_rho = math.log(rho)
-    vals = np.exp(np.maximum(expo * log_rho, -745.0))
-    vals[expo * log_rho < -745.0] = 0.0
+    vals = [0.0 if e < -745.0 else math.exp(e) for e in (expo * log_rho).tolist()]
     # exact: every value is a whole multiple of 2^-1074, n/d with d a power of 2
     scaled = 0
-    for v, count in zip(vals.tolist(), counts.tolist()):
+    for v, count in zip(vals, counts.tolist()):
         n, d = v.as_integer_ratio()
         scaled += (count * n) << (1075 - d.bit_length())
     return float(Fraction(scaled, 1 << 1074)) / _QUAD_NODES
@@ -303,13 +301,11 @@ def test_t_tail_step_limit_and_overflow_without_warnings():
         for x in (2.0, 2.5):
             assert abs(t_tail(q, x) - t_tail_z(q, x)) <= 1e-12
             assert abs(t_tail(q, x) - 0.125) <= 1e-12
-        # x / sigma overflows to inf, as it did in the scalar loop
+        # x / mu overflows to inf
         assert t_tail(big, 1.7e308) == 0.0
-        # the same on grids summed per x and on grids summed for all x at once
-        for size in (2, _GRID_MIN):
-            got = t_tail_grid(q, [2.0, 2.5] * (size // 2))
-            assert got == [t_tail(q, 2.0), t_tail(q, 2.5)] * (size // 2)
-            assert t_tail_grid(big, [1.7e308] * size) == [0.0] * size
+        # the same on a grid
+        assert t_tail_grid(q, [2.0, 2.5]) == [t_tail(q, 2.0), t_tail(q, 2.5)]
+        assert t_tail_grid(big, [1.7e308] * 2) == [0.0] * 2
 
 
 def test_infinite_x_gives_zero_tail_terms():
@@ -337,71 +333,88 @@ def test_t_tail_z_memory_is_bounded(q, x):
     assert peak <= 5 * 2**20
 
 
-def _ref_t_tail(q, x):
-    """The t_tail loop before its terms became vectors, verbatim, with
-    _phi_tail inlined."""
+def _brute_t_tail(q, x):
+    """T by math.fsum over every term from n = 1, each weight by pow, until libm's
+    erfc is 2, where the rest sum to rho^n, or rho^n underflows; and how many
+    terms have z_n < 27, the live terms.  At sigma = 0, z_n is +-inf, and the
+    term at n mu = x (NaN) is dropped."""
     sigma = _sigma(q)
     mu = q.model.mean()
     rho = q.rho
-    n_max = math.ceil(math.log(_SERIES_TOL) / math.log(rho))
-    total = 0.0
-    comp = 0.0
-    weight = (1.0 - rho) * rho
-    for n in range(1, n_max + 1):
-        z = (x - n * mu) / (sigma * math.sqrt(n))
-        term = weight * (0.5 * math.erfc(z / math.sqrt(2.0)))
-        weight *= rho
-        if term < _TERM_FLOOR:
-            continue
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    terms, live = [], 1
+    for n in itertools.count(1):
+        d = x - n * mu
+        if sigma:
+            z = d / (sigma * math.sqrt(n)) / math.sqrt(2.0)
+        else:
+            z = math.copysign(math.inf, d) if d else math.nan
+        half = 0.0 if math.isnan(z) else 0.5 * math.erfc(z)
+        weight = rho ** n
+        if half == 1.0 or weight == 0.0:
+            return math.fsum([*terms, weight]), live
+        terms.append((1.0 - rho) * weight * half)
+        live += z < 27.0
 
 
-_X = st.one_of(st.just(0.0), st.floats(0.0, 1e5))
-# one rho per example, shared by the rho argument and the grid's length
-_RHO = st.shared(st.floats(0.01, 0.9999), key="rho")
+def _assert_near_brute(q, x, value):
+    want, live = _brute_t_tail(q, x)
+    # a few ulp per live term, and the terms before the first z_n <= 27
+    # (below 0.5 erfc(27)) and subnormal roundings in absolute terms
+    tol = live * (4 * 2**-53 * want + 2**-1074) + 0.5 * math.erfc(27.0)
+    assert abs(value - want) <= tol, (x, value, want, live)
 
 
-def _grid_len(rho):
-    """The longest grid, up to 40 points, on which the scalar reference runs
-    at most 2e6 terms: n_max(rho) per x, and once more for the single x."""
-    n_max = math.ceil(math.log(_SERIES_TOL) / math.log(rho))
-    return min(40, 2_000_000 // n_max - 1)
+@pytest.mark.parametrize("model, rho, x", [
+    # most of T at n past log(1e-12)/log(rho), and one row at x = 10
+    (ParetoIntegratedTail(8.0), 0.95, 1000.0),
+    (ExponentialIntegrated(1.0), 0.95, 1000.0),
+    (ParetoIntegratedTail(3.5), 0.8, 300.0),
+    (ParetoIntegratedTail(3.5), 0.5, 100.0),
+    (ExponentialIntegrated(1.0), 0.5, 100.0),
+    (ParetoIntegratedTail(3.5), 0.8, 10.0),
+])
+def test_t_tail_matches_brute_force_to_1e_14(model, rho, x):
+    q = QueueModel(model=model, rho=rho)
+    want = _brute_t_tail(q, x)[0]
+    assert abs(t_tail(q, x) - want) <= 1e-14 * want
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     model=st.one_of(st.floats(3.05, 8.0).map(ParetoIntegratedTail),
                     st.floats(0.1, 10.0).map(ExponentialIntegrated)),
-    rho=_RHO,
-    x=_X,
-    # unsorted, with repeats, 0 and +inf, of every length 1-40 (at most 6 at
-    # rho = 0.9999): both sides of _GRID_MIN
-    xs=_RHO.flatmap(lambda rho: st.integers(1, _grid_len(rho))).flatmap(
-        lambda k: st.lists(st.one_of(_X, st.just(math.inf)), min_size=k, max_size=k)),
+    rho=st.floats(0.01, 0.9999),
+    # unsorted, with repeats and 0
+    xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e4)), min_size=1, max_size=8),
 )
-# n_max = 276,297: the series crosses 16 block edges of one x
-@example(model=ParetoIntegratedTail(3.5), rho=0.9999, x=50.0, xs=[50.0])
-# n_max = 65,537: one term past the fourth block of one x
-@example(model=ExponentialIntegrated(1.0), rho=math.exp(math.log(1e-12) / 65536.5), x=3e4,
-         xs=[3e4])
+# x/mu = 300, past log(1e-12)/log(rho) = 23: T = 2.6e-111
+@example(model=ExponentialIntegrated(0.3), rho=0.3, xs=[1000.0])
+# T = 2.7e-310, subnormal
+@example(model=ParetoIntegratedTail(3.5), rho=0.5, xs=[2100.0])
+# one x's window of about 21,000 terms spans two blocks
+@example(model=ExponentialIntegrated(1.0), rho=0.9999, xs=[2e5])
+# a one-point law (sigma = 0), with x on and off n mu
+@example(model=Lattice(h=1.0, mass=[0.0, 1.0]), rho=0.5, xs=[0.0, 2.0, 2.5])
 # a 64-point grid where erfc saturates at 2 (z <= -6) and is skipped (z >= 27)
-@example(model=ParetoIntegratedTail(3.5), rho=0.99, x=1.0,
-         xs=np.geomspace(1.0, 4600.0, 64).tolist())
-@example(model=ParetoIntegratedTail(3.5), rho=0.8, x=0.0,
-         xs=[math.inf, 0.0, 7.5, 7.5] * (_GRID_MIN // 4) + [3.0])
-# where T falls past _TERM_FLOOR: its largest terms have z in (20, 27), and
-# some lie under the floor, on grids summed per x and for all x at once
-@example(model=ParetoIntegratedTail(3.5), rho=0.5, x=408.0, xs=[402.0, 408.0])
-@example(model=ParetoIntegratedTail(3.5), rho=0.5, x=408.0,
-         xs=np.linspace(395.0, 415.0, 41).tolist())
-def test_t_tail_equals_scalar_loop(model, rho, x, xs):
+@example(model=ParetoIntegratedTail(3.5), rho=0.99, xs=np.geomspace(1.0, 4600.0, 64).tolist())
+@example(model=ParetoIntegratedTail(3.5), rho=0.8, xs=[math.inf, 0.0, 7.5, 7.5, 3.0])
+# where T falls past 1e-300: its largest terms have z in (20, 27)
+@example(model=ParetoIntegratedTail(3.5), rho=0.5, xs=[402.0, 408.0])
+@example(model=ParetoIntegratedTail(3.5), rho=0.5, xs=np.linspace(395.0, 415.0, 41).tolist())
+def test_t_tail_grid_matches_brute_force(model, rho, xs):
     q = QueueModel(model=model, rho=rho)
-    assert t_tail(q, x) == _ref_t_tail(q, x)
-    assert t_tail_grid(q, xs) == [_ref_t_tail(q, v) for v in xs]
+    got = t_tail_grid(q, xs)
+    assert t_tail(q, xs[0]) == got[0]
+    for x, value in zip(xs, got):
+        _assert_near_brute(q, x, value)
+
+
+def test_t_tail_near_rho_one_is_quick(time_limit):
+    # a window of 70 terms at any rho, where rho^n < 1e-12 takes 2.8e7 terms
+    q = QueueModel(model=ParetoIntegratedTail(3.5), rho=1.0 - 1e-6)
+    with time_limit(0.2):
+        value = t_tail(q, 10.0)
+    _assert_near_brute(q, 10.0, value)
 
 
 def test_erfc_saturation_that_t_tail_grid_assumes():
@@ -483,7 +496,7 @@ def test_approximation_point_bundle():
     q25 = QueueModel(model=ParetoIntegratedTail(alpha=2.5), rho=0.8)
     assert approximation_point(q25, 10.0).h_clt is None
     # a grid gives the points of one-x calls, with and without h_clt
-    xs = np.geomspace(0.5, 100.0, _GRID_MIN + 1).tolist()
+    xs = np.geomspace(0.5, 100.0, 37).tolist()
     for q in (Q, q25):
         assert approximation_grid(q, xs) == [approximation_point(q, x) for x in xs]
 
