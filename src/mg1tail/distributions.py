@@ -107,8 +107,8 @@ class ParetoIntegratedTail(IntegratedTailModel):
         out = np.subtract(1.0, u, out=out)
         return np.power(out, -1.0 / (self.alpha - 1.0), out=out)
 
-    def tail(self, t):
-        return np.power(np.maximum(t, 1.0), -(self.alpha - 1.0))
+    def tail(self, t, out=None):
+        return np.power(np.maximum(t, 1.0, out=out), -(self.alpha - 1.0), out=out)
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,8 @@ class ExponentialIntegrated(IntegratedTailModel):
         out = np.log1p(np.negative(u, out=out), out=out)
         return np.divide(out, -self.rate, out=out)
 
-    def tail(self, t):
-        return np.exp(-self.rate * t)
+    def tail(self, t, out=None):
+        return np.exp(np.multiply(t, -self.rate, out=out), out=out)
 
 
 class Lattice(IntegratedTailModel):
@@ -192,9 +192,9 @@ class Lattice(IntegratedTailModel):
         idx = np.searchsorted(self.cum, u, side="right")
         return np.take(self.support, idx, out=out, mode="clip")
 
-    def tail(self, t):
+    def tail(self, t, out=None):
         # mass strictly above t
-        return self.suffix[np.searchsorted(self.support, t, side="right")]
+        return np.take(self.suffix, np.searchsorted(self.support, t, side="right"), out=out)
 
     def atom(self, v):
         # the last point at or below v (the first point when v lies below it)

@@ -28,17 +28,18 @@ contiguous adds; the results are scattered back to replication order before
 the per-x step.  So every bit is that of one pass over each replication's
 draws: a sum is still ((0 + x1) + x2) + ... in draw order, a maximum is
 exact, a tie count is an integer, and the sums over replications run in
-replication order.  Hence any largest-first order gives the same bits.
-Count arrays take the narrowest unsigned type that holds the largest count:
-N * tail and the atom term see the same whole numbers as in any wider type.
+replication order.  Hence any largest-first order gives the same bits; the
+kernels keep ties in replication order, in a contiguous index.  Count arrays
+take the narrowest unsigned type that holds the largest count: N * tail and
+the atom term see the same whole numbers as in any wider type.
 
 Memory: the two buffers take 16 bytes per chunk draw; a lattice model's
 ``quantile`` adds one 8-byte-per-draw index at a time; a chunk holds at most
 ``CHUNK_PIECES`` columns (or parts of one), about 150 bytes of bookkeeping
-each; the rest is about 36 bytes per replication (crude: 26 to 28) in the
-estimators' calls of 4 * 10^4 replications, drawn at once and summed in runs
-of 10^4 (about 50 in a call of 10^4; a lattice's tie counts and atom terms
-add about 30; tracemalloc).  So a call needs at most
+each; the rest is about 36 to 39 bytes per replication (crude: 26 to 28)
+in the estimators' calls of 4 * 10^4 replications, drawn at once and summed
+in runs of 10^4 (41 to 46 in a call of 10^4; a lattice's tie counts and
+atom terms add about 30; tracemalloc).  So a call needs at most
 ``24 * CHUNK_DRAWS + 150 * CHUNK_PIECES`` bytes (1.6 MiB) plus O(nreps) at
 any rho; arrays over the whole batch would need ~56 bytes per draw (5.6 GB
 for 10^4 replications at rho=0.9999).
@@ -76,8 +77,7 @@ def _buffers():
 def _counts(rho, seed, rep0, nreps, n_offset):
     """The substream states and the counts N, the latter in the narrowest
     unsigned type that holds the largest N."""
-    reps = np.arange(nreps, dtype=np.uint64)
-    reps += np.uint64(rep0)
+    reps = np.arange(rep0, rep0 + nreps, dtype=np.uint64)
     states = rng.substream_states_np(int(seed), reps)
     u0 = rng.uniforms_inplace(np.add(states, rng.GOLD_U64), reps)  # draw 0, over reps
     n = np.log(u0, out=u0)
@@ -130,9 +130,9 @@ def _chunk(model, z, tmp, pieces, used):
 
 
 def _largest_first(n):
-    """An order of the replications by count N, largest first.  A stable
-    sort of an unsigned key of up to 16 bits is numpy's O(n) radix sort."""
-    return np.argsort(n, kind="stable")[::-1]
+    """The replications by count N, largest first, ties in replication order:
+    a stable sort of ~N (numpy's O(n) radix sort for keys of up to 16 bits)."""
+    return np.argsort(~n, kind="stable")
 
 
 def _unsorted(a, order):
@@ -186,7 +186,7 @@ def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0, size=None):
         sums = []
         for xi in (x if grid else [x]):
             np.maximum(mr, np.subtract(xi, sr, out=t), out=t)
-            v = np.multiply(nr, model.tail(t), out=t)
+            v = np.multiply(nr, model.tail(t, out=t), out=t)
             if lattice:
                 v += np.where(sr + mr > xi, extra[r], 0.0)
             s1 = float(v.sum())

@@ -48,8 +48,8 @@ from .geom import GeomModel
 
 BATCH_SIZE = 10_000
 MIN_SAMPLES_BEFORE_CHECK = 100_000
-# batches drawn per kernel call: a call keeps about 50 bytes per replication
-# live, so 4 * 10^4 replications take ~2 MiB next to the 1 MiB chunk buffers
+# batches drawn per kernel call: a call keeps 36 to 39 bytes per replication
+# live (crude: 26 to 28), ~1.5 MiB for 4 * 10^4 next to the 1 MiB chunk buffers
 CALL_BATCHES = 4
 # convolution budget: product of convolution count and lattice size
 _CELL_BUDGET = 200_000_000

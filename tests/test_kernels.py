@@ -53,6 +53,13 @@ def _masked_pareto_tail(model, t):
     return out
 
 
+def _assert_tail_out(model, t):
+    # tail(t, out=buf) writes tail(t)'s bits into buf and returns it
+    buf = np.full_like(t, np.nan)
+    assert model.tail(t, out=buf) is buf
+    assert buf.tobytes() == model.tail(t).tobytes()
+
+
 # The vector methods are numpy's pow/exp/log1p, the scalar functions libm's;
 # the two differ by at most 2 ulp on the inputs measured.
 @settings(max_examples=50, deadline=None)
@@ -64,6 +71,7 @@ def test_vector_methods_match_scalar_continuous(model, us, ts):
     np.testing.assert_array_max_ulp(
         model.tail(np.array(ts)), np.array([tail_prob(model, t) for t in ts]),
         maxulp=4)
+    _assert_tail_out(model, np.array(ts))
     if isinstance(model, ParetoIntegratedTail):
         t = np.array(ts + [0.0, 1.0, 0.999999, 1e300, math.inf])
         assert np.array_equal(model.tail(t), _masked_pareto_tail(model, t))
@@ -79,6 +87,7 @@ def test_vector_methods_match_scalar_lattice(us, ts, vs):
                           [tail_prob(LATTICE, t) for t in ts])
     assert np.array_equal(LATTICE.atom(np.array(vs)),
                           [LATTICE.atom_prob(v) for v in vs])
+    _assert_tail_out(LATTICE, np.array(ts))
 
 
 @settings(max_examples=25, deadline=None)
@@ -238,6 +247,20 @@ def test_32_bit_counts_equal_whole_batch_reference(model):
         assert kernels.ak_batch(*a) == _ref_ak_batch(*a)
         c = (model, 0.99999, 3e4, 129, 0, 3, n_offset)
         assert kernels.crude_batch(*c) == _ref_crude_batch(*c) == (1.0, 1.0)
+
+
+# The order is contiguous (a reversed view slows the gathers and scatters
+# through it), with the largest count first and ties in replication order
+@pytest.mark.parametrize("n, dtype", [
+    (kernels._counts(0.9, 7, 0, 1_000, 0)[1], np.uint8),
+    (kernels._counts(0.999, 7, 0, 1_000, 1)[1], np.uint16),
+    (np.tile(kernels._counts(0.99999, 129, 0, 3, 0)[1], 3), np.uint32),
+], ids=["uint8", "uint16", "uint32"])
+def test_largest_first_order(n, dtype):
+    assert n.dtype == dtype
+    order = kernels._largest_first(n)
+    assert order.flags.c_contiguous
+    assert order.tolist() == sorted(range(n.size), key=lambda i: (-int(n[i]), i))
 
 
 def test_threads_get_serial_results(monkeypatch):
