@@ -193,8 +193,10 @@ class Lattice(IntegratedTailModel):
         return np.take(self.support, idx, out=out, mode="clip")
 
     def tail(self, t, out=None):
-        # mass strictly above t
-        return np.take(self.suffix, np.searchsorted(self.support, t, side="right"), out=out)
+        # mass strictly above t; idx <= len(support), suffix's last index, so
+        # "clip" changes no index and, unlike "raise", writes out= in place
+        idx = np.searchsorted(self.support, t, side="right")
+        return np.take(self.suffix, idx, out=out, mode="clip")
 
     def atom(self, v):
         # the last point at or below v (the first point when v lies below it)
