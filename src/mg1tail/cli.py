@@ -116,41 +116,40 @@ def _columns(pt) -> list:
     return cols
 
 
-def _print_estimate(est):
-    print(f"estimate {_fmt(est.estimate)}")
-    print(f"half_width {_fmt(est.half_width)}")
-    print(f"rel_err {_fmt(est.rel_err)}")
-    print(f"n_samples {est.n_samples}")
-    print(f"seed {est.seed}")
-    print(f"method {est.method.value}")
-    print(f"converged {_fmt(est.converged)}")
+def _print_lines(lines):
+    for name, value in lines:
+        print(f"{name} {_fmt(value)}")
+
+
+def _estimate_lines(est) -> list:
+    return [("estimate", est.estimate), ("half_width", est.half_width),
+            ("rel_err", est.rel_err), ("n_samples", est.n_samples), ("seed", est.seed),
+            ("method", est.method.value), ("converged", est.converged)]
 
 
 def cmd_approx(args) -> int:
     _require(args, "dist", "rho", "x", "method")
     q = _queue(args)
-    value = _METHODS[args.method](q, args.x)
-    print(f"value {_fmt(value)}")
-    print(f"regime {_regime_string(q, args.x)}")
+    _print_lines([("value", _METHODS[args.method](q, args.x)),
+                  ("regime", _regime_string(q, args.x))])
     return 0
 
 
 def cmd_threshold(args) -> int:
     _require(args, "dist", "rho")
     q = _queue(args)
-    print(f"kappa {_fmt(kappa(q.model))}")
-    print(f"threshold_x {_fmt(threshold_x(q, c=args.c))}")
+    # every value before the first line, so a usage error prints none
+    lines = [("kappa", kappa(q.model)), ("threshold_x", threshold_x(q, c=args.c))]
     try:
-        print(f"crossing_point {_fmt(crossing_point(q))}")
+        lines.append(("crossing_point", crossing_point(q)))
     except NoCrossingError:
-        print("crossing_point none")
+        lines.append(("crossing_point", None))
     if args.x is not None:
         rt = threshold_rho(q.model, args.x, c=args.c)
         rep = regime_classify(q, args.x)
-        print(f"rho_threshold {_fmt(rt.value)}")
-        print(f"rho_threshold_in_range {_fmt(rt.in_range)}")
-        print(f"c_value {_fmt(rep.c_value)}")
-        print(f"regime {rep.regime.value}")
+        lines += [("rho_threshold", rt.value), ("rho_threshold_in_range", rt.in_range),
+                  ("c_value", rep.c_value), ("regime", rep.regime.value)]
+    _print_lines(lines)
     return 0
 
 
@@ -166,7 +165,7 @@ def cmd_simulate(args) -> int:
         est = crude_mc(q, args.x, n_samples=args.n_samples, seed=args.seed)
     else:
         est = _ak(args, q)
-    _print_estimate(est)
+    _print_lines(_estimate_lines(est))
     return 0
 
 
@@ -268,8 +267,7 @@ def cmd_geom(args) -> int:
     _require(args, "betaY", "p")
     g = GeomModel(y_model=ParetoIntegratedTail(alpha=args.betaY + 1.0), p=args.p)
     y = geom_threshold(g, c=args.c)
-    print(f"tau {_fmt(g.tau)}")
-    print(f"threshold_y {_fmt(y)}")
+    lines = [("tau", g.tau), ("threshold_y", y)]
     if args.x is not None:
         x = args.x
         ratio = x / y
@@ -279,13 +277,12 @@ def cmd_geom(args) -> int:
             band = "threshold-boundary"
         else:
             band = "above-threshold"
-        print(f"x {_fmt(x)}")
-        print(f"x_over_threshold {_fmt(ratio)}")
-        print(f"band {band}")
-        print(f"gamma {_fmt(geom_gamma(g, x))}")
-        print(f"approx {_fmt(geom_tail_approx(g, x))}")
+        lines += [("x", x), ("x_over_threshold", ratio), ("band", band),
+                  ("gamma", geom_gamma(g, x)), ("approx", geom_tail_approx(g, x))]
         if args.simulate:
-            _print_estimate(geom_crude_mc(g, x, n_samples=args.n_samples, seed=args.seed))
+            lines += _estimate_lines(
+                geom_crude_mc(g, x, n_samples=args.n_samples, seed=args.seed))
+    _print_lines(lines)
     return 0
 
 

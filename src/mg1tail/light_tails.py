@@ -10,9 +10,7 @@ from dataclasses import dataclass
 import math
 
 from .distributions import ExponentialIntegrated
-from .errors import UnsupportedModelError, check_nonnegative
-
-_RESIDUAL_TOL = 1e-12
+from .errors import UnsupportedModelError, check_finite, check_nonnegative
 
 
 @dataclass(frozen=True)
@@ -31,29 +29,19 @@ def _require_exponential(model):
 
 
 def adjustment_coefficient(model, rho) -> AdjustmentCoefficient:
-    """Root theta* of rho E[e^{theta V}] = 1 on (0, rate), by bisection to
-    residual <= 1e-12.  For exponential service the root is rate*(1-rho)."""
+    """Root theta* of rho E[e^{theta V}] = 1 on (0, rate).  With
+    E[e^{theta V}] = nu/(nu - theta) for exponential service of rate nu the
+    root is nu(1-rho), the heavy-traffic rate (1-rho)/mu itself; residual is
+    the float residual of the equation there, infinite where 1 - rho rounds
+    to 1 and so puts the root on the pole at nu."""
     _require_exponential(model)
     if not 0 < rho < 1:
         raise ValueError(f"rho must lie in (0,1), got {rho}")
     nu = model.rate
-
-    def f(theta):
-        # rho * E e^{theta V} - 1 with E e^{theta V} = nu/(nu - theta)
-        return rho * nu / (nu - theta) - 1.0
-
-    lo, hi = 0.0, nu * (1.0 - 1e-15)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        if abs(val) <= _RESIDUAL_TOL:
-            return AdjustmentCoefficient(theta_star=mid, rho=rho, residual=abs(val))
-        if val < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    return AdjustmentCoefficient(theta_star=mid, rho=rho, residual=abs(f(mid)))
+    theta = nu * (1.0 - rho)
+    gap = nu - theta
+    residual = abs(rho * nu / gap - 1.0) if gap > 0 else math.inf
+    return AdjustmentCoefficient(theta_star=theta, rho=rho, residual=residual)
 
 
 def cramer_lundberg_tail(model, rho, x) -> float:
@@ -72,6 +60,7 @@ def corrected_heavy_traffic(model, rho, x_scaled) -> float:
     check_nonnegative("x_scaled", x_scaled)
     if not 0 < rho < 1:
         raise ValueError(f"rho must lie in (0,1), got {rho}")
+    check_finite("x_scaled", x_scaled)
     mom = model.service_moments()
     x = x_scaled
     exponent = (

@@ -122,11 +122,8 @@ def lattice_brackets(model: IntegratedTailModel, h: float, cap: float):
 
 
 def _capped_pmf(mass: np.ndarray, m: int) -> np.ndarray:
-    if mass.size <= m + 1:
-        out = np.zeros(m + 1)
-        out[: mass.size] = mass
-        return out
-    out = mass[: m + 1].copy()
+    out = np.zeros(m + 1)
+    out[: mass.size] = mass[: m + 1]
     out[m] += mass[m + 1 :].sum()
     return out
 

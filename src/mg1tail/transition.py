@@ -16,8 +16,8 @@ from enum import Enum
 import math
 
 from .distributions import IntegratedTailModel, QueueModel
-from .errors import (NoCrossingError, UnsupportedModelError, check_nonnegative,
-                     check_positive)
+from .errors import (NoCrossingError, UnsupportedModelError, check_finite,
+                     check_nonnegative, check_positive)
 
 
 class Regime(Enum):
@@ -58,6 +58,7 @@ def threshold_rho(model: IntegratedTailModel, x, c: float = 1.0) -> RhoThreshold
     if not x > 1:
         raise ValueError(f"x must exceed 1, got {x}")
     check_positive("c", c)
+    check_finite("x", x)
     k = kappa(model)
     value = 1.0 - c * k * math.log(x) / x
     return RhoThreshold(value=value, in_range=0.0 < value < 1.0)

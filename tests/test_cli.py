@@ -57,6 +57,14 @@ def test_approx_all_methods_run(capsys):
         assert code == 0
 
 
+def test_approx_cl_is_exactly_the_heavy_traffic_exponential(capsys):
+    # theta* = rate (1-rho) = 0.5 in closed form, so e^{-theta* x} is e^-2
+    code, out = run(capsys, "approx", "--dist", "exp:rate=1", "--rho", "0.5",
+                    "--x", "4", "--method", "cl")
+    assert code == 0
+    assert out.splitlines()[0] == "value " + format(math.exp(-2.0), ".17g")
+
+
 def test_exit_code_unsupported_combination(capsys):
     # infinite variance: no normal-refined approximation
     code, _ = run(capsys, "approx", "--dist", "pareto-it:alpha=2.5",
@@ -107,6 +115,21 @@ def test_infinite_x_is_a_usage_error(tmp_path, capsys):
                  "--x-min", "1", "--x-max", "inf", "--points", "3",
                  "--out", str(tmp_path / "t.csv")]) == 2
     assert capsys.readouterr().err == "error: --x-max must be finite, got inf\n"
+    # a usage error found after the first value is computed prints no line
+    pareto = ["--dist", "pareto-it:alpha=3.5", "--rho", "0.9"]
+    for argv in (["threshold", *pareto, "--x", "inf"],
+                 ["threshold", *pareto, "--x", "0.5"],
+                 ["threshold", *pareto, "--x", "50", "--c", "0"],
+                 ["threshold", *pareto, "--c", "0"],
+                 ["approx", "--dist", "exp:rate=1", "--rho", "0.5", "--x", "inf",
+                  "--method", "corrected-ht"],
+                 *(["geom", "--betaY", "3", "--p", "0.1", "--x", x]
+                   for x in ("-1", "nan", "inf")),
+                 ["geom", "--betaY", "3", "--p", "0.1", "--x", "10", "--simulate",
+                  "--n-samples", "5"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
 def test_nan_lattice_mass_is_a_usage_error(tmp_path, capsys):

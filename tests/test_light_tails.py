@@ -1,15 +1,18 @@
 import math
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
 from mg1tail import (
     ExponentialIntegrated,
     ParetoIntegratedTail,
+    QueueModel,
     UnsupportedModelError,
     adjustment_coefficient,
     corrected_heavy_traffic,
     cramer_lundberg_tail,
+    heavy_traffic,
 )
 
 
@@ -18,9 +21,32 @@ def test_adjustment_coefficient_closed_form():
     for rate in (0.5, 1.0, 3.0):
         for rho in (0.1, 0.5, 0.9, 0.99):
             ac = adjustment_coefficient(ExponentialIntegrated(rate=rate), rho)
-            assert math.isclose(ac.theta_star, rate * (1.0 - rho), rel_tol=1e-10)
+            assert ac.theta_star == rate * (1.0 - rho)
             assert abs(ac.residual) <= 1e-12
             assert ac.rho == rho
+    # 1 - rho rounds to 1, so the root lands on the pole of E e^{theta V}
+    ac = adjustment_coefficient(ExponentialIntegrated(rate=2.0), 1e-17)
+    assert ac.theta_star == 2.0 and ac.residual == math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rate=st.floats(1e-2, 1e2),
+    rho=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    share=st.floats(0.0, 1.0),
+)
+# theta* x = 500 at rho = 0.95, where a root off by 1e-11 relative shows
+@example(rate=1.0, rho=0.95, share=1.0)
+def test_cramer_lundberg_rate_is_the_heavy_traffic_rate(rate, rho, share):
+    # for M/M/1 theta* = (1-rho)/mu, so the two tails differ only by the
+    # rounding of their exponents, a few ulps relative each, times theta* x;
+    # x ranges over [0, 1e4] with theta* x <= 700
+    model = ExponentialIntegrated(rate=rate)
+    theta = rate * (1.0 - rho)
+    x = share * min(1e4, 700.0 / theta)
+    cl = cramer_lundberg_tail(model, rho, x)
+    ht = heavy_traffic(QueueModel(model=model, rho=rho), x)
+    assert abs(cl / ht - 1.0) <= 8 * 2.0**-53 * (1.0 + theta * x)
 
 
 def test_cramer_lundberg_ratio_is_rho():

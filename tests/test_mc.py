@@ -531,6 +531,7 @@ _ARGUMENT_CHECKS = {
                             r"^c must be positive, got nan$"),
     "threshold_rho-order": (lambda: threshold_rho(_Q.model, 0.5, c=0.0),
                             r"^x must exceed 1, got 0\.5$"),
+    "threshold_rho-x-inf": (lambda: threshold_rho(_Q.model, math.inf), _INF_X),
     "threshold_x-c0": (lambda: threshold_x(_Q, c=0.0),
                        r"^c must be positive, got 0\.0$"),
     "geom_threshold-c0": (lambda: geom_threshold(_G, c=0.0),
@@ -572,6 +573,9 @@ _ARGUMENT_CHECKS = {
     "corrected_heavy_traffic-x_scaled-neg": (
         lambda: corrected_heavy_traffic(_EXP, 0.5, -1.0),
         r"^x_scaled must be nonnegative, got -1\.0$"),
+    "corrected_heavy_traffic-x_scaled-inf": (
+        lambda: corrected_heavy_traffic(_EXP, 0.5, math.inf),
+        r"^x_scaled must be finite, got inf$"),
     "corrected_heavy_traffic-order": (
         lambda: corrected_heavy_traffic(_EXP, 1.5, -1.0),
         r"^x_scaled must be nonnegative, got -1\.0$"),
