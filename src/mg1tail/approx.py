@@ -10,7 +10,7 @@ integrated-tail law X has mean mu and tail F̄.  The approximations here:
   M(x) = floor((x - x^beta)/mu), beta = 1/min(2, alpha-1);
 * gamma_factor / j_approx:  the compact variant
   (rho/(1-rho)) gamma(x) F̄(x) + rho^{x/mu}  with
-  gamma = 1 - rho^{x/mu}(1 + (1-rho)x/mu), provably in [0,1);
+  gamma = 1 - rho^{x/mu}(1 + (1-rho)x/mu), in [0,1) in floats too;
 * t_tail / h_clt:  the normal-refined geometric term
   T(rho,x) = sum_{n>=1} (1-rho) rho^n (1 - Phi((x-n mu)/(sigma sqrt(n))))
   replacing rho^{x/mu}; t_tail_grid closes the series with rho^{n0} past the
@@ -109,18 +109,37 @@ def h_approx(q: QueueModel, x) -> float:
     return s_sum(q, x) + geometric_term(q, x)
 
 
+def _horner(coeffs, z):
+    acc = 0.0
+    for c in coeffs:  # highest degree first
+        acc = acc * z + c
+    return acc
+
+
+# sum_{k>=2} a^k/k! / a^2 and sum_{k>=2} s^k/k / s^2, to 2^-60 at a < 0.5, s < 0.125
+_EXP_SERIES = tuple(1.0 / math.factorial(k) for k in range(16, 1, -1))
+_LOG_SERIES = tuple(1.0 / k for k in range(20, 1, -1))
+
+
 def _two_term(model: IntegratedTailModel, r: float, s: float, x):
     """(gamma, (r/s) gamma F̄(x) + r^{x/mu}) with gamma = 1 - r^{x/mu}(1 + s x/mu),
     for r = 1-s in (0,1): the queue form at (rho, 1-rho) and the geometric-sum
-    form at (1-p, p).  gamma lies in [0,1) since with t = s x/mu one has
-    r^{x/mu} <= e^{-t} and e^{-t}(1+t) <= 1."""
+    form at (1-p, p).  gamma = [1 - e^{-a}(1 + a)] + t (l - s) e^{-a}, t = x/mu,
+    l = -log r (of whichever of r, s is exact), a = t l: two nonnegative parts, by
+    series where they would cancel, so gamma is in [0,1) and within 32u (u = 2^-53)
+    plus two subnormal steps of its value at the rounded t."""
     check_nonnegative("x", x)
     check_finite("x", x)
-    mu = model.mean()
-    g = r ** (x / mu)
+    t = x / model.mean()
+    l = -math.log(r) if r < 0.5 else -math.log1p(-s)
+    # l - s = f g, f = 1 or g < 1/8: no factor of t f (g e) underflows before the product
+    f, g = (s, s * _horner(_LOG_SERIES, s)) if s < 0.125 else (1.0, l - s)
+    a = t * l
+    e = math.exp(-a)
+    head = e * a * a * _horner(_EXP_SERIES, a) if a < 0.5 else 1.0 - e * (1.0 + a)
     # keep the half-open range when the complement underflows past 1 ulp
-    gamma = min(1.0 - g - g * s * x / mu, math.nextafter(1.0, 0.0))
-    return gamma, r / s * gamma * tail_prob(model, x) + g
+    gamma = min(head + t * f * (g * e), math.nextafter(1.0, 0.0))
+    return gamma, r / s * gamma * tail_prob(model, x) + r ** t
 
 
 def gamma_factor(q: QueueModel, x) -> float:
@@ -129,6 +148,8 @@ def gamma_factor(q: QueueModel, x) -> float:
 
 
 def j_approx(q: QueueModel, x) -> float:
+    """(rho/(1-rho)) gamma F̄(x) + rho^{x/mu}, within (40 + a)u of its exact value
+    where F̄(x) and j are normal, a = -(x/mu) log rho the exponent of rho^{x/mu}."""
     return _two_term(q.model, q.rho, 1.0 - q.rho, x)[1]
 
 

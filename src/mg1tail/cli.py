@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage error (also an input whose result overflows
 a float), 3 unsupported model/method combination, 4 I/O failure (output or
-config file).
+config file); a reader that closes stdout early just ends the report.
 
 The env var MG1_SEED is the default of --seed, read by the commands that
 take a seed when --seed is absent.  An optional ``--config PATH`` file of
@@ -116,9 +116,15 @@ def _columns(pt) -> list:
     return cols
 
 
-def _print_lines(lines):
-    for name, value in lines:
-        print(f"{name} {_fmt(value)}")
+def _print_lines(pairs, table=()):
+    """"name value" per pair, then table's lines, to stdout in one write.  A closed
+    pipe ends the output: the rest goes to the null device, where exit flushes it."""
+    lines = [*(f"{name} {_fmt(value)}" for name, value in pairs), *table]
+    try:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _estimate_lines(est) -> list:
@@ -216,14 +222,12 @@ def cmd_sweep(args) -> int:
             row["mc_rel_err"] = ests[i].rel_err
         row["regime"] = _regime_string(q, x)
         rows.append(row)
+    tx = cp = None  # both need a tail index; only the crossing can be out of reach
     try:
         tx = threshold_x(q)
-    except UnsupportedModelError:
-        tx = None
-    try:
         cp = crossing_point(q)
     except (UnsupportedModelError, NoCrossingError):
-        cp = None
+        pass
     meta = {
         "model": args.dist,
         "rho": args.rho,
@@ -251,15 +255,12 @@ def cmd_compare(args) -> int:
             entries.append((name, _METHODS[method](q, x)))
         except (UnsupportedModelError, ValueError):
             pass
-    print(f"x {_fmt(x)}")
-    print(
-        f"mc_estimate {_fmt(est.estimate)}  rel_err {_fmt(est.rel_err)}  "
-        f"n_samples {est.n_samples}  converged {_fmt(est.converged)}"
-    )
-    print(f"{'method':<16}{'value':>24}{'ratio_to_mc':>16}")
+    table = [f"{'method':<16}{'value':>24}{'ratio_to_mc':>16}"]
     for name, value in entries:
         ratio = value / est.estimate if est.estimate > 0 else math.inf
-        print(f"{name:<16}{value:>24.10g}{ratio:>16.6g}")
+        table.append(f"{name:<16}{value:>24.10g}{ratio:>16.6g}")
+    _print_lines([("x", x), ("mc_estimate", f"{_fmt(est.estimate)}  rel_err {_fmt(est.rel_err)}  "
+                  f"n_samples {est.n_samples}  converged {_fmt(est.converged)}")], table)
     return 0
 
 
@@ -413,6 +414,7 @@ def main(argv=None) -> int:
         args = _parse_args(parser, commands, argv)
         return args.func(args)
     except SystemExit as e:
+        _print_lines([])  # flush what argparse printed (--help, --version) the same way
         return int(e.code or 0)
     except (UnsupportedModelError, ResourceBudgetError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -20,8 +20,8 @@ class ResourceBudgetError(Mg1TailError):
 
 
 class NoCrossingError(Mg1TailError):
-    """Raised when the exponential and power-law tail curves do not cross
-    inside the search interval."""
+    """Raised when the exponential and power-law tail curves cross only
+    beyond x = 1e9 mu."""
 
 
 def check_nonnegative(name: str, value) -> None:

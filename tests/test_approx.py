@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,100 @@ def test_j_monotone_in_x():
         xs = np.linspace(0.0, 50.0, 500)
         vals = [j_approx(q, float(x)) for x in xs]
         assert all(a >= b - 1e-7 for a, b in zip(vals, vals[1:]))
+
+
+U = 2.0 ** -53  # unit roundoff
+TINY = 2.0 ** -1074  # the least subnormal
+# decimal arithmetic at 60 digits, with room for exponents far past a float's
+WIDE = Context(prec=60, Emin=-10 ** 6, Emax=10 ** 6)
+
+
+def _series(z, first, ratio):
+    """The sum of the terms from k = 2, first the k = 2 term and ratio(z, k) the
+    k-th term over the one before it, until a term is below 1e-62 of the sum."""
+    total, term, k = Decimal(0), first, 2
+    while term > total * Decimal(10) ** -62:
+        total += term
+        k += 1
+        term *= ratio(z, k)
+    return total
+
+
+def _gamma_ref(r, s, t):
+    """(gamma, e^{-a}, a) for r = 1-s, by the two nonnegative parts
+    [1 - e^{-a}(1 + a)] + t (l - s) e^{-a}, l = -log r and a = t l, in the WIDE
+    context.  Below s = 1/2, l - s is sum_{k>=2} s^k/k, so r is never read
+    where 1-s would round; below a = 1 the first part is e^{-a} sum_{k>=2}
+    a^k/k!; so no part cancels, however small t or s."""
+    r, s, t = Decimal(r), Decimal(s), Decimal(t)
+    if s < Decimal("0.5"):
+        excess = _series(s, s * s / 2, lambda z, k: z * (k - 1) / k)
+        l = s + excess
+    else:
+        l = -r.ln()
+        excess = l - s
+    a = t * l
+    e = (-a).exp()
+    if a < 1:
+        head = e * _series(a, a * a / 2, lambda z, k: z / k)
+    else:
+        head = 1 - e * (1 + a)
+    return head + t * excess * e, e, a
+
+
+_queues = st.builds(
+    lambda alpha, rho: QueueModel(ParetoIntegratedTail(alpha), rho),
+    st.floats(2.0, 50.0, exclude_min=True),
+    st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+              st.integers(1, 53).map(lambda k: 1.0 - 2.0 ** -k)))
+_xs = st.one_of(st.floats(5e-324, 1e6), st.floats(5e-324, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=_queues, x=_xs)
+# j was 1.4: gamma's subtraction lost 1e-17 against the 2^53 of rho/(1-rho)
+@example(q=QueueModel(ParetoIntegratedTail(3.5), 1.0 - 2.0 ** -53), x=1.0)
+@example(q=QueueModel(ParetoIntegratedTail(3.5), 1.0 - 1e-9), x=1.0)
+@example(q=QueueModel(ParetoIntegratedTail(2.01), 1.0 - 2.0 ** -53), x=1e6)
+# gamma was -5e-324
+@example(q=QueueModel(ParetoIntegratedTail(3.5), 1e-300), x=5e-324)
+# t (1-rho) is subnormal, gamma is not
+@example(q=QueueModel(ParetoIntegratedTail(3.5), 1e-300), x=2.0 ** -1030)
+def test_gamma_and_j_within_their_bounds(q, x):
+    # gamma in [0, 1) and within 32u plus two subnormal steps of its exact
+    # value at the rounded t = x/mu; j within (40 + a)u of its exact value, a
+    # the exponent of rho^{x/mu}
+    gamma, j = gamma_factor(q, x), j_approx(q, x)
+    assert 0.0 <= gamma < 1.0
+    with localcontext(WIDE):
+        rho, mu = Decimal(q.rho), Decimal(q.model.mean())
+        ref = _gamma_ref(rho, 1 - rho, x / q.model.mean())[0]
+        assert abs(Decimal(gamma) - ref) <= Decimal(32 * U) * ref + Decimal(2 * TINY)
+        ref, e, a = _gamma_ref(rho, 1 - rho, Decimal(x) / mu)
+        tail = 1 if x < 1 else (-Decimal(q.model.tail_index()) * Decimal(x).ln()).exp()
+        j_ref = rho / (1 - rho) * ref * tail + e
+        # a subnormal F̄(x) is off by up to half a step, which j scales by the
+        # factor before it
+        slack = Decimal(TINY) * (1 + rho / (1 - rho) * ref)
+        assert abs(Decimal(j) - j_ref) <= (40 + a) * Decimal(U) * j_ref + slack
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                   st.integers(1, 1074).map(lambda k: 2.0 ** -k)),
+       x=_xs)
+@example(p=1e-10, x=1e10)
+@example(p=2.0 ** -126, x=1.0)
+# gamma was -2e-154; its second part must not underflow before its last factor
+@example(p=2.0 ** -550, x=2.0 ** 40)
+def test_geom_gamma_within_its_bound(p, x):
+    # the geometric-sum form at (1-p, p): 1-p is rounded, p is exact
+    g = GeomModel(y_model=ParetoIntegratedTail(alpha=4.0), p=p)
+    gamma = geom_gamma(g, x)
+    assert 0.0 <= gamma < 1.0
+    with localcontext(WIDE):
+        ref = _gamma_ref(1 - Decimal(p), p, x / g.y_model.mean())[0]
+        assert abs(Decimal(gamma) - ref) <= Decimal(32 * U) * ref + Decimal(2 * TINY)
 
 
 def test_values_at_zero():

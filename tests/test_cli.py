@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import mg1tail
 from mg1tail import (
     ParetoIntegratedTail,
     QueueModel,
@@ -303,6 +308,30 @@ def test_config_file_precedence(tmp_path, capsys):
     code, out = run(capsys, "approx", "--config", str(cfg), "--rho", "0.8")
     q8 = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
     assert float(parse_record(out)["value"]) == heavy_traffic(q8, 10.0)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["approx", "--dist", "exp:rate=1", "--rho", "0.5", "--x", "4", "--method", "cl"],
+    ["compare", "--dist", "exp:rate=1", "--rho", "0.5", "--x", "1", "--max-samples", "20000"],
+    ["--help"],
+], ids=["approx", "compare", "help"])
+def test_closed_stdout_ends_the_output(argv, unbuffered):
+    # the read end of the pipe is closed before the command starts, so its
+    # first write meets it: that ends the report with exit 0, unbuffered or
+    # not, and nothing on stderr
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(mg1tail.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mg1tail", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_config_file_errors(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import math
+from decimal import Context, Decimal, localcontext
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mg1tail import (
     ExponentialIntegrated,
+    NoCrossingError,
     ParetoIntegratedTail,
     QueueModel,
     Regime,
@@ -96,3 +99,39 @@ def test_crossing_point_unsupported_model():
     q = QueueModel(model=ExponentialIntegrated(rate=1.0), rho=0.8)
     with pytest.raises(UnsupportedModelError):
         crossing_point(q)
+
+
+def _crossing_ref(beta, mu, rho):
+    """The root x >= beta mu/(1-rho) of -(1-rho) x/mu - log(rho/(1-rho))
+    + beta log x = 0 at the exact floats, in decimal at 50 digits: Newton's
+    method on y - log y = L, x = y beta mu/(1-rho), to a step below 1e-45 y."""
+    with localcontext(Context(prec=50)):
+        beta, mu, rho = Decimal(beta), Decimal(mu), Decimal(rho)
+        scale = beta * mu / (1 - rho)
+        big_l = scale.ln() - (rho / (1 - rho)).ln() / beta
+        y, step = big_l + big_l.ln(), 1
+        while abs(step) > y * Decimal(10) ** -45:
+            step = (y - y.ln() - big_l) / (1 - 1 / y)
+            y -= step
+        return scale * y, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(2.0, 50.0, exclude_min=True),
+       rho=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(alpha=3.5, rho=0.8)
+# the search returned 1.57e13, half way between its cap and the peak beyond it
+@example(alpha=2.2798355090099407, rho=0.999999999999813)
+def test_crossing_point_within_8u(alpha, rho):
+    # within 8u of the exact root, at or beyond the peak beta mu/(1-rho) of the
+    # log difference, and NoCrossingError only where the root passes 1e9 mu
+    model = ParetoIntegratedTail(alpha)
+    ref, peak = _crossing_ref(model.tail_index(), model.mean(), rho)
+    cap = Decimal(1e9 * model.mean())
+    try:
+        cp = Decimal(crossing_point(QueueModel(model=model, rho=rho)))
+    except NoCrossingError:
+        assert ref > cap * (1 - Decimal(8 * 2.0 ** -53))
+        return
+    assert cp >= peak
+    assert abs(cp - ref) <= Decimal(8 * 2.0 ** -53) * ref
