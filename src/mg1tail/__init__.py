@@ -9,10 +9,14 @@ import types
 __version__ = "0.1.0"
 
 from .approx import (
+    AdjustmentCoefficient,
     ApproximationPoint,
+    adjustment_coefficient,
     approximation_grid,
     approximation_point,
     big_m,
+    corrected_heavy_traffic,
+    cramer_lundberg_tail,
     gamma_factor,
     geometric_term,
     h_approx,
@@ -44,12 +48,6 @@ from .errors import (
     UnsupportedModelError,
 )
 from .geom import GeomModel, geom_gamma, geom_tail_approx, geom_threshold
-from .light_tails import (
-    AdjustmentCoefficient,
-    adjustment_coefficient,
-    corrected_heavy_traffic,
-    cramer_lundberg_tail,
-)
 from .mc import (
     Method,
     PkExact,

@@ -18,7 +18,10 @@ integrated-tail law X has mean mu and tail F̄.  The approximations here:
   t_tail_z evaluates the same quantity as a normal expectation
   E[rho^{floor(t(Z)^2)+1}] by the midpoint rule, its nodes counted per
   exponent in closed form and their values summed exactly;
-* subexp_sum_approx:  the n-fold convolution surrogate n F̄(x-(n-1)mu).
+* subexp_sum_approx:  the n-fold convolution surrogate n F̄(x-(n-1)mu);
+* adjustment_coefficient / cramer_lundberg_tail / corrected_heavy_traffic:
+  the light-tail companions, which reject every variant but the exponential,
+  the only one with a finite moment generating function.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ import math
 
 import numpy as np
 
-from .distributions import IntegratedTailModel, QueueModel, tail_prob
+from .distributions import ExponentialIntegrated, IntegratedTailModel, QueueModel, tail_prob
 from .errors import UnsupportedModelError, check_finite, check_nonnegative
 
 # terms below this magnitude are skipped so summation order quirks at the
@@ -137,8 +140,10 @@ def _two_term(model: IntegratedTailModel, r: float, s: float, x):
     a = t * l
     e = math.exp(-a)
     head = e * a * a * _horner(_EXP_SERIES, a) if a < 0.5 else 1.0 - e * (1.0 + a)
-    # keep the half-open range when the complement underflows past 1 ulp
-    gamma = min(head + t * f * (g * e), math.nextafter(1.0, 0.0))
+    # keep the half-open range when the complement underflows past 1 ulp, or to 0,
+    # where a (t too, at huge x/mu) may be inf and the parts 1 - 0 inf, inf 0
+    below_one = math.nextafter(1.0, 0.0)
+    gamma = min(head + t * f * (g * e), below_one) if e else below_one
     return gamma, r / s * gamma * tail_prob(model, x) + r ** t
 
 
@@ -301,6 +306,64 @@ def subexp_sum_approx(model: IntegratedTailModel, n: int, x) -> float:
     check_nonnegative("x", x)
     mu = model.mean()
     return n * tail_prob(model, max(0.0, x - (n - 1) * mu))
+
+
+@dataclass(frozen=True)
+class AdjustmentCoefficient:
+    theta_star: float
+    rho: float
+    residual: float
+
+
+def _require_exponential(model):
+    if not isinstance(model, ExponentialIntegrated):
+        raise UnsupportedModelError(
+            "operation needs a finite moment generating function; only the "
+            "exponential variant has one"
+        )
+
+
+def adjustment_coefficient(model, rho) -> AdjustmentCoefficient:
+    """Root theta* of rho E[e^{theta V}] = 1 on (0, rate).  With
+    E[e^{theta V}] = nu/(nu - theta) for exponential service of rate nu the
+    root is nu(1-rho), the heavy-traffic rate (1-rho)/mu itself; residual is
+    the float residual of the equation there, infinite where 1 - rho rounds
+    to 1 and so puts the root on the pole at nu."""
+    _require_exponential(model)
+    if not 0 < rho < 1:
+        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    nu = model.rate
+    theta = nu * (1.0 - rho)
+    gap = nu - theta
+    residual = abs(rho * nu / gap - 1.0) if gap > 0 else math.inf
+    return AdjustmentCoefficient(theta_star=theta, rho=rho, residual=residual)
+
+
+def cramer_lundberg_tail(model, rho, x) -> float:
+    """exp(-theta* x): exact decay rate, constant-free (the exact M/M/1
+    prefactor is rho, approached only as rho tends to 1)."""
+    check_nonnegative("x", x)
+    theta = adjustment_coefficient(model, rho).theta_star
+    return math.exp(-theta * x)
+
+
+def corrected_heavy_traffic(model, rho, x_scaled) -> float:
+    """Second-order heavy-traffic asymptotic at tail argument
+    x_scaled (1-rho)^{-2}: exp of
+    -2 x (1-rho)^{-1} EV/EV2 + x EV3/(3 EV2) - (x/4) EV2/EV."""
+    _require_exponential(model)
+    check_nonnegative("x_scaled", x_scaled)
+    if not 0 < rho < 1:
+        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    check_finite("x_scaled", x_scaled)
+    mom = model.service_moments()
+    x = x_scaled
+    exponent = (
+        -2.0 * x / (1.0 - rho) * mom.ev1 / mom.ev2
+        + x * mom.ev3 / (3.0 * mom.ev2)
+        - (x / 4.0) * mom.ev2 / mom.ev1
+    )
+    return math.exp(exponent)
 
 
 def approximation_grid(q: QueueModel, xs) -> list[ApproximationPoint]:

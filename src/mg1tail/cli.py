@@ -45,6 +45,8 @@ from . import __version__
 from .approx import (
     approximation_grid,
     approximation_point,
+    corrected_heavy_traffic,
+    cramer_lundberg_tail,
     h_approx,
     h_clt,
     heavy_tail,
@@ -54,7 +56,6 @@ from .approx import (
 from .distributions import ParetoIntegratedTail, QueueModel, parse_model
 from .errors import NoCrossingError, ResourceBudgetError, UnsupportedModelError, check_finite
 from .geom import GeomModel, geom_gamma, geom_tail_approx, geom_threshold
-from .light_tails import corrected_heavy_traffic, cramer_lundberg_tail
 from .mc import ak_estimate, ak_estimate_grid, crude_mc, geom_crude_mc
 from .transition import (
     crossing_point,
@@ -124,7 +125,8 @@ def _print_lines(pairs, table=()):
         sys.stdout.write("".join(f"{line}\n" for line in lines))
         sys.stdout.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
 
 
 def _estimate_lines(est) -> list:
@@ -255,12 +257,13 @@ def cmd_compare(args) -> int:
             entries.append((name, _METHODS[method](q, x)))
         except (UnsupportedModelError, ValueError):
             pass
-    table = [f"{'method':<16}{'value':>24}{'ratio_to_mc':>16}"]
+    table = [f"mc_estimate {_fmt(est.estimate)}  rel_err {_fmt(est.rel_err)}  "
+             f"n_samples {est.n_samples}  converged {_fmt(est.converged)}",
+             f"{'method':<16}{'value':>24}{'ratio_to_mc':>16}"]
     for name, value in entries:
         ratio = value / est.estimate if est.estimate > 0 else math.inf
         table.append(f"{name:<16}{value:>24.10g}{ratio:>16.6g}")
-    _print_lines([("x", x), ("mc_estimate", f"{_fmt(est.estimate)}  rel_err {_fmt(est.rel_err)}  "
-                  f"n_samples {est.n_samples}  converged {_fmt(est.converged)}")], table)
+    _print_lines([("x", x)], table)
     return 0
 
 
@@ -414,7 +417,7 @@ def main(argv=None) -> int:
         args = _parse_args(parser, commands, argv)
         return args.func(args)
     except SystemExit as e:
-        _print_lines([])  # flush what argparse printed (--help, --version) the same way
+        _print_lines([])  # flush what argparse printed to stdout (--help, --version) alike
         return int(e.code or 0)
     except (UnsupportedModelError, ResourceBudgetError) as e:
         print(f"error: {e}", file=sys.stderr)

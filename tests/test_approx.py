@@ -162,6 +162,8 @@ def _gamma_ref(r, s, t):
         excess = l - s
     a = t * l
     e = (-a).exp()
+    if e == 0:  # e^{-a} is past the context's range (t may be inf): gamma is 1
+        return Decimal(1), e, a
     if a < 1:
         head = e * _series(a, a * a / 2, lambda z, k: z / k)
     else:
@@ -174,7 +176,7 @@ _queues = st.builds(
     st.floats(2.0, 50.0, exclude_min=True),
     st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
               st.integers(1, 53).map(lambda k: 1.0 - 2.0 ** -k)))
-_xs = st.one_of(st.floats(5e-324, 1e6), st.floats(5e-324, 1e300))
+_xs = st.one_of(st.floats(5e-324, 1e6), st.floats(5e-324, 1.7976931348623157e308))
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,6 +189,8 @@ _xs = st.one_of(st.floats(5e-324, 1e6), st.floats(5e-324, 1e300))
 @example(q=QueueModel(ParetoIntegratedTail(3.5), 1e-300), x=5e-324)
 # t (1-rho) is subnormal, gamma is not
 @example(q=QueueModel(ParetoIntegratedTail(3.5), 1e-300), x=2.0 ** -1030)
+# a = (x/mu)(-log rho) overflows: gamma and j were NaN
+@example(q=QueueModel(ParetoIntegratedTail(3.5), 0.001), x=1e308)
 def test_gamma_and_j_within_their_bounds(q, x):
     # gamma in [0, 1) and within 32u plus two subnormal steps of its exact
     # value at the rounded t = x/mu; j within (40 + a)u of its exact value, a
@@ -214,6 +218,8 @@ def test_gamma_and_j_within_their_bounds(q, x):
 @example(p=2.0 ** -126, x=1.0)
 # gamma was -2e-154; its second part must not underflow before its last factor
 @example(p=2.0 ** -550, x=2.0 ** 40)
+# x/mu overflows: gamma was NaN
+@example(p=0.999, x=1e308)
 def test_geom_gamma_within_its_bound(p, x):
     # the geometric-sum form at (1-p, p): 1-p is rounded, p is exact
     g = GeomModel(y_model=ParetoIntegratedTail(alpha=4.0), p=p)
@@ -222,6 +228,16 @@ def test_geom_gamma_within_its_bound(p, x):
     with localcontext(WIDE):
         ref = _gamma_ref(1 - Decimal(p), p, x / g.y_model.mean())[0]
         assert abs(Decimal(gamma) - ref) <= Decimal(32 * U) * ref + Decimal(2 * TINY)
+
+
+@pytest.mark.parametrize("q, x", [
+    (QueueModel(ParetoIntegratedTail(3.5), 0.001), 1e308),  # a = t l overflows
+    (QueueModel(ExponentialIntegrated(rate=1e10), 0.5), 1e300),  # t = x/mu too
+])
+def test_gamma_where_its_exponent_overflows(q, x):
+    # rho^{x/mu} is 0, so gamma is the float below 1 and j the heavy-tail term
+    assert gamma_factor(q, x) == math.nextafter(1.0, 0.0)
+    assert j_approx(q, x) == q.rho / (1.0 - q.rho) * math.nextafter(1.0, 0.0) * q.model.tail_prob(x)
 
 
 def test_values_at_zero():
