@@ -1,8 +1,8 @@
 """Outputs pinned bit for bit: kernel batch sums, estimator fields, the
 quadrature form ``t_tail_z``, the bytes of ``sweep --simulate`` tables, the
-``compare`` CLI output, and the closed-form scalars (model formulas, every
+``compare`` CLI output, the closed-form scalars (model formulas, every
 approximation and threshold, and the ``approx``/``threshold`` CLI output) over
-a grid of models, rho and x.
+a grid of models, rho and x, and the CLI's ``--help`` text at 80 columns.
 
 The files under ``tests/golden/`` were recorded on x86-64 with Python 3.11 and
 numpy 2.4; other libm or numpy builds may differ in the last bits of a pow or
@@ -297,6 +297,24 @@ def compare_output(directory):
     }
 
 
+COMMANDS = ("approx", "sweep", "threshold", "simulate", "compare", "geom")
+
+
+def help_output():
+    """The top-level ``--help`` and each subcommand's, with argparse's width
+    fixed by COLUMNS=80 (it sizes its help to the terminal)."""
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        return {" ".join(["mg1tail", *argv]): _cli(*argv, "--help")
+                for argv in [[], *([cmd] for cmd in COMMANDS)]}
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+
+
 def sweep_bytes(fname, directory):
     path = pathlib.Path(directory) / fname
     assert main(["sweep", *SWEEPS[fname], "--out", str(path)]) == 0
@@ -326,6 +344,7 @@ def makers(directory):
         "t_tail_z.json": [lambda: _json(t_tail_z_values())],
         "scalars.json": [lambda: _json(scalar_values())],
         "compare.json": [lambda: _json(compare_output(directory))],
+        "help.json": [lambda: _json(help_output())],
         **{fname: [functools.partial(sweep_bytes, fname, directory)] for fname in SWEEPS},
     }
 
