@@ -32,6 +32,7 @@ names.
 """
 
 import argparse
+from collections import namedtuple
 import csv
 import io
 import json
@@ -42,28 +43,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .approx import (
-    approximation_grid,
-    approximation_point,
-    corrected_heavy_traffic,
-    cramer_lundberg_tail,
-    h_approx,
-    h_clt,
-    heavy_tail,
-    heavy_traffic,
-    j_approx,
-)
+from .approx import (approximation_grid, approximation_point, corrected_heavy_traffic,
+                     cramer_lundberg_tail, h_approx, h_clt, heavy_tail, heavy_traffic, j_approx)
 from .distributions import ParetoIntegratedTail, QueueModel, parse_model
 from .errors import NoCrossingError, ResourceBudgetError, UnsupportedModelError, check_finite
 from .geom import GeomModel, geom_gamma, geom_tail_approx, geom_threshold
 from .mc import ak_estimate, ak_estimate_grid, crude_mc, geom_crude_mc
-from .transition import (
-    crossing_point,
-    kappa,
-    regime_classify,
-    threshold_rho,
-    threshold_x,
-)
+from .transition import (Regime, band_regime, crossing_point, kappa, regime_classify,
+                         threshold_rho, threshold_x)
 
 _METHODS = {
     "ht": heavy_traffic,
@@ -74,10 +61,12 @@ _METHODS = {
     "cl": lambda q, x: cramer_lundberg_tail(q.model, q.rho, x),
     "corrected-ht": lambda q, x: corrected_heavy_traffic(q.model, q.rho, x),
     # same formula with p = 1 - rho
-    "geom": lambda q, x: geom_tail_approx(
-        GeomModel(y_model=q.model, p=1.0 - q.rho), x
-    ),
+    "geom": lambda q, x: geom_tail_approx(GeomModel(y_model=q.model, p=1.0 - q.rho), x),
 }
+
+# geom's band of x/threshold_y, by the regime rule at delta = 0.1
+_BANDS = {Regime.HEAVY_TRAFFIC: "below-threshold", Regime.TRANSITION: "threshold-boundary",
+          Regime.HEAVY_TAIL: "above-threshold"}
 
 
 def _fmt(v) -> str:
@@ -88,12 +77,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
-
-
-def _require(args, *names):
-    for n in names:
-        if getattr(args, n, None) is None:
-            raise ValueError(f"--{n.replace('_', '-')} is required")
 
 
 def _queue(args) -> QueueModel:
@@ -117,10 +100,13 @@ def _columns(pt) -> list:
     return cols
 
 
-def _print_lines(pairs, table=()):
-    """"name value" per pair, then table's lines, to stdout in one write.  A closed
-    pipe ends the output: the rest goes to the null device, where exit flushes it."""
-    lines = [*(f"{name} {_fmt(value)}" for name, value in pairs), *table]
+def _named(pairs) -> list:
+    return [f"{name} {_fmt(value)}" for name, value in pairs]
+
+
+def _print_lines(lines):
+    """The lines to stdout in one write.  A closed pipe ends the output: the rest
+    goes to the null device, where exit flushes it."""
     try:
         sys.stdout.write("".join(f"{line}\n" for line in lines))
         sys.stdout.flush()
@@ -135,16 +121,13 @@ def _estimate_lines(est) -> list:
             ("method", est.method.value), ("converged", est.converged)]
 
 
-def cmd_approx(args) -> int:
-    _require(args, "dist", "rho", "x", "method")
+def cmd_approx(args):
     q = _queue(args)
-    _print_lines([("value", _METHODS[args.method](q, args.x)),
-                  ("regime", _regime_string(q, args.x))])
-    return 0
+    _print_lines(_named([("value", _METHODS[args.method](q, args.x)),
+                         ("regime", _regime_string(q, args.x))]))
 
 
-def cmd_threshold(args) -> int:
-    _require(args, "dist", "rho")
+def cmd_threshold(args):
     q = _queue(args)
     # every value before the first line, so a usage error prints none
     lines = [("kappa", kappa(q.model)), ("threshold_x", threshold_x(q, c=args.c))]
@@ -157,8 +140,7 @@ def cmd_threshold(args) -> int:
         rep = regime_classify(q, args.x)
         lines += [("rho_threshold", rt.value), ("rho_threshold_in_range", rt.in_range),
                   ("c_value", rep.c_value), ("regime", rep.regime.value)]
-    _print_lines(lines)
-    return 0
+    _print_lines(_named(lines))
 
 
 def _ak(args, q: QueueModel):
@@ -166,15 +148,13 @@ def _ak(args, q: QueueModel):
                        seed=args.seed, max_samples=args.max_samples)
 
 
-def cmd_simulate(args) -> int:
-    _require(args, "dist", "rho", "x")
+def cmd_simulate(args):
     q = _queue(args)
     if args.method == "crude":
         est = crude_mc(q, args.x, n_samples=args.n_samples, seed=args.seed)
     else:
         est = _ak(args, q)
-    _print_lines(_estimate_lines(est))
-    return 0
+    _print_lines(_named(_estimate_lines(est)))
 
 
 def _sweep_grid(args) -> np.ndarray:
@@ -210,8 +190,7 @@ def _write_table(path: str, fmt: str, meta: dict, rows: list) -> None:
         f.write(text)
 
 
-def cmd_sweep(args) -> int:
-    _require(args, "dist", "rho", "x_min", "x_max", "points", "out")
+def cmd_sweep(args):
     q = _queue(args)
     xs = [float(x) for x in _sweep_grid(args)]
     if args.simulate:
@@ -230,22 +209,13 @@ def cmd_sweep(args) -> int:
         cp = crossing_point(q)
     except (UnsupportedModelError, NoCrossingError):
         pass
-    meta = {
-        "model": args.dist,
-        "rho": args.rho,
-        "seed": args.seed,
-        "simulate": bool(args.simulate),
-        "rel_err": args.rel_err,
-        "threshold_x": tx,
-        "crossing_point": cp,
-        "version": __version__,
-    }
+    meta = {"model": args.dist, "rho": args.rho, "seed": args.seed,
+            "simulate": bool(args.simulate), "rel_err": args.rel_err, "threshold_x": tx,
+            "crossing_point": cp, "version": __version__}
     _write_table(args.out, args.format, meta, rows)
-    return 0
 
 
-def cmd_compare(args) -> int:
-    _require(args, "dist", "rho", "x")
+def cmd_compare(args):
     q = _queue(args)
     x = args.x
     est = _ak(args, q)
@@ -257,114 +227,106 @@ def cmd_compare(args) -> int:
             entries.append((name, _METHODS[method](q, x)))
         except (UnsupportedModelError, ValueError):
             pass
-    table = [f"mc_estimate {_fmt(est.estimate)}  rel_err {_fmt(est.rel_err)}  "
+    lines = [f"x {_fmt(x)}",
+             f"mc_estimate {_fmt(est.estimate)}  rel_err {_fmt(est.rel_err)}  "
              f"n_samples {est.n_samples}  converged {_fmt(est.converged)}",
              f"{'method':<16}{'value':>24}{'ratio_to_mc':>16}"]
     for name, value in entries:
         ratio = value / est.estimate if est.estimate > 0 else math.inf
-        table.append(f"{name:<16}{value:>24.10g}{ratio:>16.6g}")
-    _print_lines([("x", x)], table)
-    return 0
+        lines.append(f"{name:<16}{value:>24.10g}{ratio:>16.6g}")
+    _print_lines(lines)
 
 
-def cmd_geom(args) -> int:
-    _require(args, "betaY", "p")
+def cmd_geom(args):
     g = GeomModel(y_model=ParetoIntegratedTail(alpha=args.betaY + 1.0), p=args.p)
     y = geom_threshold(g, c=args.c)
     lines = [("tau", g.tau), ("threshold_y", y)]
     if args.x is not None:
         x = args.x
         ratio = x / y
-        if ratio < 0.9:
-            band = "below-threshold"
-        elif ratio <= 1.1:
-            band = "threshold-boundary"
-        else:
-            band = "above-threshold"
-        lines += [("x", x), ("x_over_threshold", ratio), ("band", band),
+        lines += [("x", x), ("x_over_threshold", ratio), ("band", _BANDS[band_regime(ratio)]),
                   ("gamma", geom_gamma(g, x)), ("approx", geom_tail_approx(g, x))]
         if args.simulate:
             lines += _estimate_lines(
                 geom_crude_mc(g, x, n_samples=args.n_samples, seed=args.seed))
-    _print_lines(lines)
-    return 0
+    _print_lines(_named(lines))
+
+
+# the argparse keywords of each flag; MG1_SEED is --seed's default
+_FLAGS = {
+    "--config": {"help": "defaults file of `key = value` lines"},
+    "--dist": {"help": "model literal: pareto-it:alpha=A | exp:rate=R | lattice:file=PATH"},
+    "--rho": {"type": float, "help": "traffic intensity in (0,1)"},
+    "--betaY": {"type": float, "help": "summand tail index (> 2)"},
+    "--p": {"type": float, "help": "geometric parameter in (0,1)"},
+    "--x": {"type": float},
+    "--x-min": {"type": float},
+    "--x-max": {"type": float},
+    "--points": {"type": int},
+    "--log-grid": {"action": "store_true"},
+    "--out": {"help": "output path"},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--c": {"type": float, "default": 1.0},
+    "--simulate": {"action": "store_true"},
+    "--n-samples": {"type": int, "default": 1_000_000},
+    "--rel-err": {"type": float, "default": 0.05},
+    "--confidence": {"type": float, "default": 0.99},
+    "--max-samples": {"type": int, "default": 50_000_000},
+    "--seed": {"type": int},
+}
+_MODEL = ("--dist", "--rho")
+_AK = ("--rel-err", "--confidence", "--max-samples", "--seed")
+
+# a command's function, help, flags in --help order after --config (a flag
+# with keywords of its own as a (flag, keywords) pair) and required flags
+_Command = namedtuple("_Command", "func help flags required")
+_COMMANDS = {
+    "approx": _Command(cmd_approx, "evaluate one approximation at one x",
+                       (*_MODEL, "--x", ("--method", {"choices": _METHODS})),
+                       (*_MODEL, "--x", "--method")),
+    "sweep": _Command(cmd_sweep, "write a table of approximations over an x grid",
+                      (*_MODEL, "--x-min", "--x-max", "--points", "--log-grid", "--out",
+                       "--format", "--simulate", "--rel-err", "--seed"),
+                      (*_MODEL, "--x-min", "--x-max", "--points", "--out")),
+    "threshold": _Command(cmd_threshold, "transition threshold diagnostics",
+                          (*_MODEL, "--x", "--c"), _MODEL),
+    "simulate": _Command(cmd_simulate, "Monte Carlo estimate of P(W > x)",
+                         (*_MODEL, "--x",
+                          ("--method", {"choices": ("ak", "crude"), "default": "ak"}),
+                          "--n-samples", *_AK),
+                         (*_MODEL, "--x")),
+    "compare": _Command(cmd_compare, "all methods against Monte Carlo",
+                        (*_MODEL, "--x", *_AK), (*_MODEL, "--x")),
+    "geom": _Command(cmd_geom, "geometric-sum threshold report",
+                     ("--betaY", "--p", "--x", "--c", "--simulate", "--n-samples", "--seed"),
+                     ("--betaY", "--p")),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _specs(command: str) -> list:
+    """(flag, argparse keywords) of each flag of a command, --config first."""
+    return [f if isinstance(f, tuple) else (f, _FLAGS[f])
+            for f in ("--config", *_COMMANDS[command].flags)]
 
 
 def build_parser(seed_default: str):
-    """The parser and its subcommand parsers by name; argparse converts the
-    string seed_default only when --seed is absent."""
+    """The parser of every command; argparse converts the string seed_default
+    only when --seed is absent."""
     parser = argparse.ArgumentParser(
-        prog="mg1tail",
-        description="Waiting-time tail approximations for the M/G/1 queue.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"mg1tail {__version__}"
-    )
+        prog="mg1tail", description="Waiting-time tail approximations for the M/G/1 queue.")
+    parser.add_argument("--version", action="version", version=f"mg1tail {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
-        sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(func=fn)
-        sp.add_argument("--config", help="defaults file of `key = value` lines")
-        return sp
-
-    def model_flags(sp):
-        sp.add_argument(
-            "--dist",
-            help="model literal: pareto-it:alpha=A | exp:rate=R | lattice:file=PATH",
-        )
-        sp.add_argument("--rho", type=float, help="traffic intensity in (0,1)")
-
-    def ak_flags(sp):
-        sp.add_argument("--rel-err", type=float, default=0.05)
-        sp.add_argument("--confidence", type=float, default=0.99)
-        sp.add_argument("--max-samples", type=int, default=50_000_000)
-        sp.add_argument("--seed", type=int, default=seed_default)
-
-    sp = add("approx", cmd_approx, "evaluate one approximation at one x")
-    model_flags(sp)
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--method", choices=_METHODS)
-
-    sp = add("sweep", cmd_sweep, "write a table of approximations over an x grid")
-    model_flags(sp)
-    sp.add_argument("--x-min", type=float)
-    sp.add_argument("--x-max", type=float)
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--log-grid", action="store_true")
-    sp.add_argument("--out", help="output path")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--simulate", action="store_true")
-    sp.add_argument("--rel-err", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=seed_default)
-
-    sp = add("threshold", cmd_threshold, "transition threshold diagnostics")
-    model_flags(sp)
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--c", type=float, default=1.0)
-
-    sp = add("simulate", cmd_simulate, "Monte Carlo estimate of P(W > x)")
-    model_flags(sp)
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--method", choices=("ak", "crude"), default="ak")
-    sp.add_argument("--n-samples", type=int, default=1_000_000)
-    ak_flags(sp)
-
-    sp = add("compare", cmd_compare, "all methods against Monte Carlo")
-    model_flags(sp)
-    sp.add_argument("--x", type=float)
-    ak_flags(sp)
-
-    sp = add("geom", cmd_geom, "geometric-sum threshold report")
-    sp.add_argument("--betaY", type=float, help="summand tail index (> 2)")
-    sp.add_argument("--p", type=float, help="geometric parameter in (0,1)")
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--simulate", action="store_true")
-    sp.add_argument("--n-samples", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int, default=seed_default)
-
-    return parser, sub.choices
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for flag, keywords in _specs(name):
+            sp.add_argument(flag, **keywords)
+        if "--seed" in command.flags:
+            sp.set_defaults(seed=seed_default)
+    return parser
 
 
 def _load_config(path: str) -> dict:
@@ -381,21 +343,21 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _config_argv(cfg: dict, sp) -> list:
-    """The values of cfg that are flags of sp as a command line of sp."""
+def _config_argv(cfg: dict, command: str) -> list:
+    """The values of cfg that are flags of command as a command line of it."""
     argv = []
-    for a in sp._actions:
-        if a.dest not in cfg:
+    for flag, keywords in _specs(command):
+        if _dest(flag) not in cfg:
             continue
-        flag, value = a.option_strings[0], cfg[a.dest]
-        if a.nargs == 0 and value.lower() in {"true", "yes", "on"}:
+        value, switch = cfg[_dest(flag)], keywords.get("action") == "store_true"
+        if switch and value.lower() in {"true", "yes", "on"}:
             argv.append(flag)
-        elif not (a.nargs == 0 and value.lower() in {"false", "no", "off"}):
+        elif not (switch and value.lower() in {"false", "no", "off"}):
             argv.append(f"{flag}={value}")
     return argv
 
 
-def _parse_args(parser, commands: dict, argv: list):
+def _parse_args(parser, argv: list):
     """argv parsed; with a --config file, parsed again with the file's values
     spliced in as flags right after the command, so that each flag of argv
     comes later and wins (argparse keeps a flag's last value)."""
@@ -403,19 +365,23 @@ def _parse_args(parser, commands: dict, argv: list):
     if args.config is None:
         return args
     cfg = _load_config(args.config)
-    known = {a.dest for sp in commands.values() for a in sp._actions} - {"help"}
-    unknown = set(cfg) - known
+    unknown = set(cfg) - {_dest(flag) for name in _COMMANDS for flag, _ in _specs(name)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return parser.parse_args([argv[0], *_config_argv(cfg, commands[args.command]), *argv[1:]])
+    return parser.parse_args([argv[0], *_config_argv(cfg, args.command), *argv[1:]])
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser(os.environ.get("MG1_SEED", "0"))
+    parser = build_parser(os.environ.get("MG1_SEED", "0"))
     try:
-        args = _parse_args(parser, commands, argv)
-        return args.func(args)
+        args = _parse_args(parser, argv)
+        command = _COMMANDS[args.command]
+        for flag in command.required:
+            if getattr(args, _dest(flag)) is None:
+                raise ValueError(f"{flag} is required")
+        command.func(args)
+        return 0
     except SystemExit as e:
         _print_lines([])  # flush what argparse printed to stdout (--help, --version) alike
         return int(e.code or 0)

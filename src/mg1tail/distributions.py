@@ -252,18 +252,22 @@ def parse_model(text: str) -> IntegratedTailModel:
     """Parse a model literal: pareto-it:alpha=3.5 | exp:rate=1.0 |
     lattice:file=PATH."""
     kind, _, rest = text.partition(":")
-    params = {}
+    params = []
     for piece in filter(None, rest.split(",")):
         key, _, val = piece.partition("=")
         if not val:
             raise ValueError(f"malformed model parameter {piece!r} in {text!r}")
-        params[key.strip()] = val.strip()
+        params.append((key.strip(), val.strip()))
     if kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r} in {text!r}")
     key, shown, build = _KINDS[kind]
-    if key not in params:
+    if key not in dict(params):
         raise ValueError(f"{kind} needs {shown}, got {text!r}")
-    return build(params[key])
+    if len(params) > 1:  # each kind takes its one parameter once
+        name = next((k for k, _ in params if k != key), key)
+        raise ValueError(f"{'repeated' if name == key else 'unknown'} model parameter "
+                         f"{name!r} in {text!r}")
+    return build(params[0][1])
 
 
 def load_lattice_file(path: str) -> Lattice:

@@ -148,10 +148,12 @@ def convolve_tail_grid(dist: Lattice, n: int, xs) -> np.ndarray:
     pmf = _capped_pmf(dist.mass, m)
     cur = pmf.copy()
     for _ in range(int(n) - 1):
-        cur = np.convolve(cur, pmf)
-        if cur.size > m + 1:
-            cur[m] += cur[m + 1 :].sum()
-            cur = cur[: m + 1]
+        # cur by blocks, so that each of np.convolve's dots has <= _DOT_MAX terms
+        nxt = np.zeros(2 * m + 1)
+        for lo in range(0, m + 1, _DOT_MAX):
+            nxt[lo : lo + _DOT_MAX + m] += np.convolve(cur[lo : lo + _DOT_MAX], pmf)
+        nxt[m] += nxt[m + 1 :].sum()
+        cur = nxt[: m + 1]
     suffix = np.cumsum(cur[::-1])[::-1]
     # each x's cap index, the lookup of Lattice.tail; k <= m as x <= x_max
     k = np.searchsorted(np.arange(m + 1) * dist.h, xs, side="right")

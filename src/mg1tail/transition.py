@@ -65,25 +65,28 @@ def threshold_rho(model: IntegratedTailModel, x, c: float = 1.0) -> RhoThreshold
 
 
 def regime_classify(q: QueueModel, x, delta: float = 0.1) -> RegimeReport:
-    """Implied c = x(1-rho)/(kappa log((1-rho)^{-1})); heavy traffic below
-    1-delta, heavy tail above 1+delta, transition otherwise."""
+    """Implied c = x(1-rho)/(kappa log((1-rho)^{-1})) and its band_regime."""
     check_nonnegative("x", x)
     check_nonnegative("delta", delta)
     k = kappa(q.model)
     inv = 1.0 / (1.0 - q.rho)
     c_value = x * (1.0 - q.rho) / (k * math.log(inv))
-    if c_value < 1.0 - delta:
-        regime = Regime.HEAVY_TRAFFIC
-    elif c_value > 1.0 + delta:
-        regime = Regime.HEAVY_TAIL
-    else:
-        regime = Regime.TRANSITION
     return RegimeReport(
         c_value=c_value,
-        regime=regime,
+        regime=band_regime(c_value, delta),
         threshold_x=threshold_x(q),
         kappa=k,
     )
+
+
+def band_regime(c_value: float, delta: float = 0.1) -> Regime:
+    """The regime of a point whose x is c_value times the threshold: heavy
+    traffic below 1-delta, heavy tail above 1+delta, transition otherwise."""
+    if c_value < 1.0 - delta:
+        return Regime.HEAVY_TRAFFIC
+    if c_value > 1.0 + delta:
+        return Regime.HEAVY_TAIL
+    return Regime.TRANSITION
 
 
 def crossing_point(q: QueueModel) -> float:

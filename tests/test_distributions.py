@@ -172,6 +172,15 @@ def test_parse_model():
     ("gauss", "unknown model kind 'gauss' in 'gauss'"),
     ("", "unknown model kind '' in ''"),
     ("pareto-it:alpha=x", "could not convert string to float: 'x'"),
+    # each kind takes its one parameter once, checked after the cases above
+    ("pareto-it:alpha=3.5,rate=9",
+     "unknown model parameter 'rate' in 'pareto-it:alpha=3.5,rate=9'"),
+    ("exp:scale=2,rate=1", "unknown model parameter 'scale' in 'exp:scale=2,rate=1'"),
+    ("exp:rate=1,rate=2", "repeated model parameter 'rate' in 'exp:rate=1,rate=2'"),
+    ("pareto-it:alpha=3.5,alpha=2.5",
+     "repeated model parameter 'alpha' in 'pareto-it:alpha=3.5,alpha=2.5'"),
+    ("gauss:mu=0,mu=1", "unknown model kind 'gauss' in 'gauss:mu=0,mu=1'"),
+    ("exp:scale=2,scale=3", "exp needs rate=..., got 'exp:scale=2,scale=3'"),
 ])
 def test_parse_model_error_messages(text, message):
     with pytest.raises(ValueError) as info:

@@ -226,6 +226,24 @@ def test_pk_independent_of_blas_threads():
     assert outs[0] == outs[1]
 
 
+def test_convolution_independent_of_blas_threads():
+    # 14,002 lattice points: np.convolve's longest dots pass OpenBLAS's
+    # 10**4-element threading cutoff unless the convolution is blocked
+    probe = ("import numpy as np, mg1tail as m; "
+             "lower, upper = m.lattice_brackets(m.ParetoIntegratedTail(3.5), 0.05, cap=700.05); "
+             "xs = np.geomspace(100.0, 700.0, 25); "
+             "print([v.hex() for b in (lower, upper) "
+             "for v in m.convolve_tail_grid(b, 2, xs).tolist()])")
+    src = str(pathlib.Path(mc.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", probe], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("h", [-0.05, 0.0, math.nan, math.inf])
 def test_pk_rejects_bad_spacing(h, time_limit):
     q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
