@@ -39,6 +39,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -303,16 +304,9 @@ COMMANDS = ("approx", "sweep", "threshold", "simulate", "compare", "geom")
 def help_output():
     """The top-level ``--help`` and each subcommand's, with argparse's width
     fixed by COLUMNS=80 (it sizes its help to the terminal)."""
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
+    with mock.patch.dict(os.environ, COLUMNS="80"):
         return {" ".join(["mg1tail", *argv]): _cli(*argv, "--help")
                 for argv in [[], *([cmd] for cmd in COMMANDS)]}
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
 
 
 def sweep_bytes(fname, directory):

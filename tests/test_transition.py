@@ -19,6 +19,7 @@ from mg1tail import (
     threshold_rho,
     threshold_x,
 )
+from mg1tail.transition import band_regime
 
 
 def test_kappa_is_alpha_minus_one():
@@ -78,6 +79,16 @@ def test_regime_band_width():
     # delta widens the transition band
     assert regime_classify(q, 0.85 * xh, delta=0.1).regime is Regime.HEAVY_TRAFFIC
     assert regime_classify(q, 0.85 * xh, delta=0.2).regime is Regime.TRANSITION
+
+
+def test_band_regime_edges():
+    # the geom report's band edges 0.9 and 1.1 are 1 -/+ delta at delta = 0.1,
+    # the same doubles, and both edges belong to the transition band
+    assert (1.0 - 0.1, 1.0 + 0.1) == (0.9, 1.1)
+    for c, regime in ((math.nextafter(0.9, 0.0), Regime.HEAVY_TRAFFIC),
+                      (0.9, Regime.TRANSITION), (1.1, Regime.TRANSITION),
+                      (math.nextafter(1.1, 2.0), Regime.HEAVY_TAIL)):
+        assert band_regime(c) is regime
 
 
 def test_crossing_point_location():

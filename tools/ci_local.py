@@ -26,10 +26,10 @@ import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
-# GitHub's shells: the default when a step names none, and the named ones
+# GitHub's shell when a step names none, and its command for `shell: bash`;
+# any other shell is a command line with {0} for the script
 DEFAULT_SHELL = "bash -e {0}"
-SHELLS = {"bash": "bash --noprofile --norc -eo pipefail {0}", "sh": "sh -e {0}",
-          "python": "python {0}"}
+SHELLS = {"bash": "bash --noprofile --norc -eo pipefail {0}"}
 TAIL = 20
 
 
@@ -58,8 +58,6 @@ def run_step(step, env, cwd, script):
     script.write_text(step["run"])
     shell = step.get("shell")
     template = SHELLS.get(shell, shell) if shell else DEFAULT_SHELL
-    if "{0}" not in template:
-        template += " {0}"
     argv = [str(script) if word == "{0}" else word for word in template.split()]
     proc = subprocess.run(argv, cwd=cwd, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT, text=True)
