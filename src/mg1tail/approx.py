@@ -144,7 +144,9 @@ def _two_term(model: IntegratedTailModel, r: float, s: float, x):
     # where a (t too, at huge x/mu) may be inf and the parts 1 - 0 inf, inf 0
     below_one = math.nextafter(1.0, 0.0)
     gamma = min(head + t * f * (g * e), below_one) if e else below_one
-    return gamma, r / s * gamma * tail_prob(model, x) + r ** t
+    # r^t by pow where r is exact (r < 1/2, or r = 1 - s, exact for r >= 1/2), else e
+    geo = r ** t if r < 0.5 or 1.0 - r == s else e
+    return gamma, r / s * gamma * tail_prob(model, x) + geo
 
 
 def gamma_factor(q: QueueModel, x) -> float:
@@ -323,43 +325,39 @@ def _require_exponential(model):
         )
 
 
-def adjustment_coefficient(model, rho) -> AdjustmentCoefficient:
+def adjustment_coefficient(q: QueueModel) -> AdjustmentCoefficient:
     """Root theta* of rho E[e^{theta V}] = 1 on (0, rate).  With
     E[e^{theta V}] = nu/(nu - theta) for exponential service of rate nu the
     root is nu(1-rho), the heavy-traffic rate (1-rho)/mu itself; residual is
     the float residual of the equation there, infinite where 1 - rho rounds
     to 1 and so puts the root on the pole at nu."""
-    _require_exponential(model)
-    if not 0 < rho < 1:
-        raise ValueError(f"rho must lie in (0,1), got {rho}")
-    nu = model.rate
+    _require_exponential(q.model)
+    rho, nu = q.rho, q.model.rate
     theta = nu * (1.0 - rho)
     gap = nu - theta
     residual = abs(rho * nu / gap - 1.0) if gap > 0 else math.inf
     return AdjustmentCoefficient(theta_star=theta, rho=rho, residual=residual)
 
 
-def cramer_lundberg_tail(model, rho, x) -> float:
+def cramer_lundberg_tail(q: QueueModel, x) -> float:
     """exp(-theta* x): exact decay rate, constant-free (the exact M/M/1
     prefactor is rho, approached only as rho tends to 1)."""
     check_nonnegative("x", x)
-    theta = adjustment_coefficient(model, rho).theta_star
+    theta = adjustment_coefficient(q).theta_star
     return math.exp(-theta * x)
 
 
-def corrected_heavy_traffic(model, rho, x_scaled) -> float:
+def corrected_heavy_traffic(q: QueueModel, x_scaled) -> float:
     """Second-order heavy-traffic asymptotic at tail argument
     x_scaled (1-rho)^{-2}: exp of
     -2 x (1-rho)^{-1} EV/EV2 + x EV3/(3 EV2) - (x/4) EV2/EV."""
-    _require_exponential(model)
+    _require_exponential(q.model)
     check_nonnegative("x_scaled", x_scaled)
-    if not 0 < rho < 1:
-        raise ValueError(f"rho must lie in (0,1), got {rho}")
     check_finite("x_scaled", x_scaled)
-    mom = model.service_moments()
+    mom = q.model.service_moments()
     x = x_scaled
     exponent = (
-        -2.0 * x / (1.0 - rho) * mom.ev1 / mom.ev2
+        -2.0 * x / (1.0 - q.rho) * mom.ev1 / mom.ev2
         + x * mom.ev3 / (3.0 * mom.ev2)
         - (x / 4.0) * mom.ev2 / mom.ev1
     )

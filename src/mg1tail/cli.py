@@ -58,8 +58,8 @@ _METHODS = {
     "h": h_approx,
     "j": j_approx,
     "h-clt": h_clt,
-    "cl": lambda q, x: cramer_lundberg_tail(q.model, q.rho, x),
-    "corrected-ht": lambda q, x: corrected_heavy_traffic(q.model, q.rho, x),
+    "cl": cramer_lundberg_tail,
+    "corrected-ht": corrected_heavy_traffic,
     # same formula with p = 1 - rho
     "geom": lambda q, x: geom_tail_approx(GeomModel(y_model=q.model, p=1.0 - q.rho), x),
 }
@@ -169,7 +169,9 @@ def _sweep_grid(args) -> np.ndarray:
     if args.log_grid:
         if args.x_min <= 0:
             raise ValueError("--log-grid needs --x-min > 0")
-        return np.geomspace(args.x_min, args.x_max, args.points)
+        # np.geomspace by libm's log10 and pow, whose numpy loops vary with the CPU
+        y = np.linspace(math.log10(args.x_min), math.log10(args.x_max), args.points)
+        return np.array([args.x_min, *(10.0 ** v for v in y[1:-1].tolist()), args.x_max])
     return np.linspace(args.x_min, args.x_max, args.points)
 
 

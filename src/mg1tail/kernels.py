@@ -144,12 +144,11 @@ def _unsorted(a, order):
 
 def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0, size=None):
     """Sum and sum-of-squares of conditional-estimator contributions for
-    replications rep0..rep0+nreps-1.  For a sequence ``x`` the replications
-    are drawn once and a list with one (sum, sum-of-squares) per x is
-    returned, each bit-identical to the scalar call at that x.  With
-    ``size``, the replications are still drawn once, and a list is returned
-    with one such result per run of ``size`` replications (the last may be
-    shorter), each bit-identical to a separate call on that run."""
+    replications rep0..rep0+nreps-1, drawn once: a list with one entry per run
+    of ``size`` replications (the last may be shorter; one run of all nreps
+    without ``size``), each a list of (sum, sum-of-squares), one per x of
+    ``x`` (a scalar is a grid of one).  Each pair has the bits of a call on
+    that run alone at that x alone."""
     states, n = _counts(rho, seed, rep0, nreps, n_offset)
     order = _largest_first(n)
     states, counts = states[order], n[order]
@@ -175,7 +174,6 @@ def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0, size=None):
         extra = n * model.atom(m) / (_unsorted(ties, order) + 1.0)
         del ties
     del order  # 8 bytes per replication fewer in the per-x step
-    grid = np.ndim(x) > 0
     runs = []
     # each run and x gets its own contiguous 1-d v, reduced by the same 1-d
     # sums as in a scalar call on that run, so its bits are that call's
@@ -183,16 +181,15 @@ def ak_batch(model, rho, x, seed, rep0, nreps, n_offset=0, size=None):
         r = slice(lo, nreps if size is None else lo + size)
         sr, mr, nr = s[r], m[r], n[r]
         t = np.empty_like(sr)
-        sums = []
-        for xi in (x if grid else [x]):
+        runs.append([])
+        for xi in np.atleast_1d(x):
             np.maximum(mr, np.subtract(xi, sr, out=t), out=t)
             v = np.multiply(nr, model.tail(t, out=t), out=t)
             if lattice:
                 v += np.where(sr + mr > xi, extra[r], 0.0)
             s1 = float(v.sum())
-            sums.append((s1, float(np.multiply(v, v, out=v).sum())))
-        runs.append(sums if grid else sums[0])
-    return runs[0] if size is None else runs
+            runs[-1].append((s1, float(np.multiply(v, v, out=v).sum())))
+    return runs
 
 
 def crude_batch(model, rho, x, seed, rep0, nreps, n_offset=0):

@@ -112,12 +112,9 @@ def lattice_brackets(model: IntegratedTailModel, h: float, cap: float):
     check_finite("cap", cap)
     m = _cap_index(cap, h)
     tails = np.array([tail_prob(model, k * h) for k in range(m + 1)])
-    upper = np.zeros(m + 1)
-    upper[1:m] = tails[0 : m - 1] - tails[1:m]
-    upper[m] = tails[m - 1]
-    lower = np.zeros(m + 1)
-    lower[0:m] = tails[0:m] - tails[1 : m + 1]
-    lower[m] = tails[m]
+    d = tails[:-1] - tails[1:]  # d[k] = P(kh < X <= (k+1)h)
+    lower = np.append(d, tails[m])
+    upper = np.concatenate(([0.0], d[:-1], [tails[m - 1]]))
     return Lattice(h=h, mass=lower), Lattice(h=h, mass=upper)
 
 

@@ -98,7 +98,7 @@ def test_criterion_2_mm1_exactness():
                 notes.append(f"coverage {cov}/20 at rho={rho}, q={quantile}")
         for x in (0.5, 2.0, 10.0):
             exact = rho * math.exp(-(1.0 - rho) * x)
-            ratio = exact / cramer_lundberg_tail(model, rho, x)
+            ratio = exact / cramer_lundberg_tail(q, x)
             if not math.isclose(ratio, rho, rel_tol=1e-10):
                 ok = False
                 notes.append(f"CL ratio {ratio!r} != rho at rho={rho}, x={x}")

@@ -230,6 +230,27 @@ def test_geom_gamma_within_its_bound(p, x):
         assert abs(Decimal(gamma) - ref) <= Decimal(32 * U) * ref + Decimal(2 * TINY)
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=st.one_of(st.floats(1e-300, 1.0, exclude_max=True),
+                   st.floats(-300.0, -1.0).map(lambda k: 10.0 ** k)),
+       x=_xs)
+# r = 1-p is rounded, and r^{x/mu} by pow was 7.5e8u off: 0.36787941071456814
+@example(p=1e-10, x=1.5e10)
+def test_geom_tail_approx_within_its_bound(p, x):
+    # within (40 + a)u of its exact value at the exact 1-p, as j_approx is at
+    # rho; small p, where 1-p rounds, down to 1e-300 (below 2^-1023 the factor
+    # (1-p)/p overflows)
+    g = GeomModel(y_model=ParetoIntegratedTail(alpha=4.0), p=p)
+    v = geom_tail_approx(g, x)
+    with localcontext(WIDE):
+        p = Decimal(p)
+        ref, e, a = _gamma_ref(1 - p, p, Decimal(x) / Decimal(g.y_model.mean()))
+        tail = 1 if x < 1 else (-3 * Decimal(x).ln()).exp()
+        v_ref = (1 - p) / p * ref * tail + e
+        slack = Decimal(TINY) * (1 + (1 - p) / p * ref)
+        assert abs(Decimal(v) - v_ref) <= (40 + a) * Decimal(U) * v_ref + slack
+
+
 @pytest.mark.parametrize("q, x", [
     (QueueModel(ParetoIntegratedTail(3.5), 0.001), 1e308),  # a = t l overflows
     (QueueModel(ExponentialIntegrated(rate=1e10), 0.5), 1e300),  # t = x/mu too
@@ -636,7 +657,7 @@ def test_negative_x_rejected():
 
 
 _G = GeomModel(y_model=ParetoIntegratedTail(alpha=4.0), p=0.2)
-_EXP = ExponentialIntegrated(rate=1.0)
+_EXP = QueueModel(model=ExponentialIntegrated(rate=1.0), rho=0.5)
 _NAN_GUARDED = {
     "tail_prob": lambda x: tail_prob(Q.model, x),
     "heavy_traffic": lambda x: heavy_traffic(Q, x),
@@ -652,8 +673,8 @@ _NAN_GUARDED = {
     "regime_classify": lambda x: regime_classify(Q, x),
     "geom_gamma": lambda x: geom_gamma(_G, x),
     "geom_tail_approx": lambda x: geom_tail_approx(_G, x),
-    "cramer_lundberg_tail": lambda x: cramer_lundberg_tail(_EXP, 0.5, x),
-    "corrected_heavy_traffic": lambda x: corrected_heavy_traffic(_EXP, 0.5, x),
+    "cramer_lundberg_tail": lambda x: cramer_lundberg_tail(_EXP, x),
+    "corrected_heavy_traffic": lambda x: corrected_heavy_traffic(_EXP, x),
 }
 
 

@@ -20,12 +20,12 @@ def test_adjustment_coefficient_closed_form():
     # rho nu/(nu - theta) = 1 has root theta = nu (1 - rho)
     for rate in (0.5, 1.0, 3.0):
         for rho in (0.1, 0.5, 0.9, 0.99):
-            ac = adjustment_coefficient(ExponentialIntegrated(rate=rate), rho)
+            ac = adjustment_coefficient(QueueModel(model=ExponentialIntegrated(rate=rate), rho=rho))
             assert ac.theta_star == rate * (1.0 - rho)
             assert abs(ac.residual) <= 1e-12
             assert ac.rho == rho
     # 1 - rho rounds to 1, so the root lands on the pole of E e^{theta V}
-    ac = adjustment_coefficient(ExponentialIntegrated(rate=2.0), 1e-17)
+    ac = adjustment_coefficient(QueueModel(model=ExponentialIntegrated(rate=2.0), rho=1e-17))
     assert ac.theta_star == 2.0 and ac.residual == math.inf
 
 
@@ -44,8 +44,9 @@ def test_cramer_lundberg_rate_is_the_heavy_traffic_rate(rate, rho, share):
     model = ExponentialIntegrated(rate=rate)
     theta = rate * (1.0 - rho)
     x = share * min(1e4, 700.0 / theta)
-    cl = cramer_lundberg_tail(model, rho, x)
-    ht = heavy_traffic(QueueModel(model=model, rho=rho), x)
+    q = QueueModel(model=model, rho=rho)
+    cl = cramer_lundberg_tail(q, x)
+    ht = heavy_traffic(q, x)
     assert abs(cl / ht - 1.0) <= 8 * 2.0**-53 * (1.0 + theta * x)
 
 
@@ -54,19 +55,20 @@ def test_cramer_lundberg_ratio_is_rho():
     # by exactly the factor rho at every x
     rate = 1.0
     for rho in (0.5, 0.9):
+        q = QueueModel(model=ExponentialIntegrated(rate=rate), rho=rho)
         for x in np.linspace(0.0, 40.0, 9):
             exact = rho * math.exp(-rate * (1.0 - rho) * x)
-            cl = cramer_lundberg_tail(ExponentialIntegrated(rate=rate), rho, float(x))
+            cl = cramer_lundberg_tail(q, float(x))
             assert abs(exact / cl - rho) <= 1e-10
 
 
 def test_uniform_gap_peaks_at_zero():
     # sup_x |P(W>x) - e^{-theta* x}| = 1 - rho, attained at x = 0
     rate, rho = 1.0, 0.8
+    q = QueueModel(model=ExponentialIntegrated(rate=rate), rho=rho)
     xs = np.linspace(0.0, 60.0, 2001)
     gaps = [
-        abs(rho * math.exp(-rate * (1.0 - rho) * x)
-            - cramer_lundberg_tail(ExponentialIntegrated(rate=rate), rho, float(x)))
+        abs(rho * math.exp(-rate * (1.0 - rho) * x) - cramer_lundberg_tail(q, float(x)))
         for x in xs
     ]
     assert math.isclose(max(gaps), 1.0 - rho, rel_tol=1e-12)
@@ -75,33 +77,35 @@ def test_uniform_gap_peaks_at_zero():
 
 def test_corrected_heavy_traffic_value():
     # rate 1: EV=1, EV2=2, EV3=6 -> exponent -x/(1-rho) + x.(3/4)
-    v = corrected_heavy_traffic(ExponentialIntegrated(rate=1.0), 0.9, 0.1)
+    v = corrected_heavy_traffic(QueueModel(model=ExponentialIntegrated(rate=1.0), rho=0.9), 0.1)
     assert math.isclose(v, math.exp(-0.95), rel_tol=1e-12)
 
 
 def test_corrected_heavy_traffic_exponent_linearity():
-    m = ExponentialIntegrated(rate=2.0)
-    v1 = corrected_heavy_traffic(m, 0.8, 0.3)
-    v2 = corrected_heavy_traffic(m, 0.8, 0.6)
+    q = QueueModel(model=ExponentialIntegrated(rate=2.0), rho=0.8)
+    v1 = corrected_heavy_traffic(q, 0.3)
+    v2 = corrected_heavy_traffic(q, 0.6)
     assert math.isclose(v2, v1 * v1, rel_tol=1e-12)
 
 
 def test_light_tail_requires_exponential():
+    q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
     with pytest.raises(UnsupportedModelError):
-        adjustment_coefficient(ParetoIntegratedTail(alpha=3.5), 0.8)
+        adjustment_coefficient(q)
     with pytest.raises(UnsupportedModelError):
-        cramer_lundberg_tail(ParetoIntegratedTail(alpha=3.5), 0.8, 1.0)
+        cramer_lundberg_tail(q, 1.0)
     with pytest.raises(UnsupportedModelError):
-        corrected_heavy_traffic(ParetoIntegratedTail(alpha=3.5), 0.8, 1.0)
+        corrected_heavy_traffic(q, 1.0)
 
 
 def test_argument_validation():
+    # rho outside (0, 1) is the queue's own check
     m = ExponentialIntegrated(rate=1.0)
+    for rho in (0.0, 1.0):
+        with pytest.raises(ValueError, match="rho must lie strictly in"):
+            adjustment_coefficient(QueueModel(model=m, rho=rho))
+    q = QueueModel(model=m, rho=0.5)
     with pytest.raises(ValueError):
-        adjustment_coefficient(m, 0.0)
+        cramer_lundberg_tail(q, -1.0)
     with pytest.raises(ValueError):
-        adjustment_coefficient(m, 1.0)
-    with pytest.raises(ValueError):
-        cramer_lundberg_tail(m, 0.5, -1.0)
-    with pytest.raises(ValueError):
-        corrected_heavy_traffic(m, 0.5, -0.1)
+        corrected_heavy_traffic(q, -0.1)

@@ -528,7 +528,7 @@ def test_input_validation():
 
 _Q = QueueModel(model=ParetoIntegratedTail(alpha=3.5), rho=0.8)
 _G = GeomModel(y_model=ParetoIntegratedTail(alpha=4.0), p=0.2)
-_EXP = ExponentialIntegrated(rate=1.0)
+_EXP = QueueModel(model=ExponentialIntegrated(rate=1.0), rho=0.5)
 _NEG_X = r"^x must be nonnegative, got -1\.0$"
 _INF_X = r"^x must be finite, got inf$"
 _FRAC_SEED = r"^seed must be an integer, got 1\.5$"
@@ -587,16 +587,13 @@ _ARGUMENT_CHECKS = {
                                  "n must be a positive integer"),
     "subexp_sum_approx-order": (lambda: subexp_sum_approx(_Q.model, 2.5, -1.0),
                                 r"^n must be a positive integer, got 2\.5$"),
-    "cramer_lundberg_tail-x-neg": (lambda: cramer_lundberg_tail(_EXP, 0.5, -1.0), _NEG_X),
+    "cramer_lundberg_tail-x-neg": (lambda: cramer_lundberg_tail(_EXP, -1.0), _NEG_X),
     "corrected_heavy_traffic-x_scaled-neg": (
-        lambda: corrected_heavy_traffic(_EXP, 0.5, -1.0),
+        lambda: corrected_heavy_traffic(_EXP, -1.0),
         r"^x_scaled must be nonnegative, got -1\.0$"),
     "corrected_heavy_traffic-x_scaled-inf": (
-        lambda: corrected_heavy_traffic(_EXP, 0.5, math.inf),
+        lambda: corrected_heavy_traffic(_EXP, math.inf),
         r"^x_scaled must be finite, got inf$"),
-    "corrected_heavy_traffic-order": (
-        lambda: corrected_heavy_traffic(_EXP, 1.5, -1.0),
-        r"^x_scaled must be nonnegative, got -1\.0$"),
     "convolve_tail_grid-n-frac": (lambda: convolve_tail_grid(TWO_POINT, 2.5, [1.0]),
                                   "n must be a positive integer"),
     "regime_classify-x-neg": (lambda: regime_classify(_Q, -1.0), _NEG_X),
